@@ -9,8 +9,29 @@ follows
 
 with "valid" padding meaning zero and "same" meaning output size
 ceil(in / stride), any odd padding overhang going to the bottom/right
-edge. The forward pass lowers patches to a matrix (im2col) so the core
-work is one matmul; backward scatters through the same indexing.
+edge.
+
+Both directions run through one routine, ``_correlate``. The padded
+batch [b, hp, wp, c] is read as b*hp*wp rows of c values, so a kernel
+tap (ki, kj) is a shift of ki*dh*wp + kj*dw rows. The rows are lowered
+along the kernel width only: row r of the lowered matrix holds input
+rows r, r + dw, ..., r + (kw - 1)*dw side by side, kw times the input
+rather than the kh*kw times of a full patch matrix (im2col). Each
+kernel row then adds one GEMM over a shifted contiguous slice of it.
+Output rows whose window straddles the right or bottom edge of an
+image (the last (kw - 1)*dw columns and (kh - 1)*dh rows of the padded
+grid) are dropped; a stride above one is computed at stride one and
+subsampled.
+
+Forward caches the kw-lowered padded input. Backward takes the weight
+gradient of kernel row ki as one GEMM of that cached matrix, shifted
+by ki*dh*wp rows, against the upstream gradient laid out on the same
+stride-one row grid (zeros at dropped and skipped positions). The input
+gradient is a full correlation: the same routine applied to that grid,
+preceded by (kh - 1)*dh*wp + (kw - 1)*dw zero rows, with the flipped,
+transposed kernel W[::-1, ::-1].transpose(0, 1, 3, 2). Shifts that run
+off the start of an image row or image read dropped positions, which
+hold zeros.
 """
 
 from __future__ import annotations
@@ -52,6 +73,48 @@ def _resolve_padding(padding, n, k, stride, dilation):
         return lo, total - lo
     p = int(padding)
     return p, p
+
+
+def _lower_rows(rows, kw, dw):
+    """[n, c] contiguous rows to [n - (kw - 1)*dw, kw*c]: row r is rows
+    r, r + dw, ..., r + (kw - 1)*dw laid side by side."""
+    n, c = rows.shape
+    m = max(n - (kw - 1) * dw, 0)
+    step = rows.strides[0]
+    taps = np.lib.stride_tricks.as_strided(
+        rows, (m, kw, c), (step, dw * step, rows.strides[1]), writeable=False
+    )
+    # a copy: with dw == 1 the reshape alone would be an overlapping view,
+    # which matmul cannot hand to BLAS
+    return np.ascontiguousarray(taps).reshape(m, kw * c)
+
+
+def _correlate(rows, width, kernel, dilation):
+    """Correlate row-flattened images of row length ``width`` with
+    ``kernel`` [kh, kw, c, f]:
+
+        out[r] = sum over ki, kj of rows[r + ki*dh*width + kj*dw] @ kernel[ki, kj]
+
+    ``out`` has one row per input row; the last (kh - 1)*dh*width +
+    (kw - 1)*dw rows, whose taps would run past the end, are zero.
+    Returns ``out`` and the width-lowered rows."""
+    kh, kw, c, f = kernel.shape
+    dh, dw = dilation
+    lowered = _lower_rows(rows, kw, dw)
+    n = rows.shape[0]
+    n_out = max(n - (kh - 1) * dh * width - (kw - 1) * dw, 0)
+    out = np.empty((n, f))
+    out[n_out:] = 0.0
+    part = np.empty((n_out, f))
+    for ki in range(kh):
+        lo = ki * dh * width
+        wk = kernel[ki].reshape(kw * c, f)
+        if ki == 0:
+            np.matmul(lowered[:n_out], wk, out=out[:n_out])
+        else:
+            np.matmul(lowered[lo : lo + n_out], wk, out=part)
+            out[:n_out] += part
+    return out, lowered
 
 
 class Conv2D(Layer):
@@ -112,58 +175,50 @@ class Conv2D(Layer):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         b, h, w, cin = x.shape
-        kh, kw = self.kernel_size
-        pt, pb, pl, pr, oh, ow = self._geometry(h, w)
+        sh, sw = self.stride
+        geom = self._geometry(h, w)
+        pt, pb, pl, pr, oh, ow = geom
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        cols = self._im2col(xp, oh, ow)  # [b*oh*ow, kh*kw*cin]
-        wmat = self.params["W"].reshape(kh * kw * cin, self.filters)
-        pre = cols @ wmat + self.params["b"]
-        self._cache = (cols, xp.shape, (pt, pb, pl, pr, oh, ow), x.shape)
-        self._pre = pre.reshape(b, oh, ow, self.filters)
+        _, hp, wp, _ = xp.shape
+        out, lowered = _correlate(
+            xp.reshape(b * hp * wp, cin), wp, self.params["W"], self.dilation
+        )
+        out = out.reshape(b, hp, wp, self.filters)
+        self._cache = (lowered, xp.shape, geom)
+        self._pre = out[:, : oh * sh : sh, : ow * sw : sw] + self.params["b"]
         self._out = self.activation.fn(self._pre)
         return self._out
-
-    def _im2col(self, xp, oh, ow):
-        b, hp, wp, cin = xp.shape
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        dh, dw = self.dilation
-        cols = np.empty((b, oh, ow, kh, kw, cin))
-        for ki in range(kh):
-            i0 = ki * dh
-            for kj in range(kw):
-                j0 = kj * dw
-                cols[:, :, :, ki, kj, :] = xp[
-                    :, i0 : i0 + sh * oh : sh, j0 : j0 + sw * ow : sw, :
-                ]
-        return cols.reshape(b * oh * ow, kh * kw * cin)
 
     def backward(self, upstream, preact=False):
         if preact:
             delta = upstream
         else:
             delta = upstream * self.activation.deriv(self._pre, self._out)
-        cols, xp_shape, (pt, pb, pl, pr, oh, ow), x_shape = self._cache
-        b, h, w, cin = x_shape
+        lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._cache
+        W = self.params["W"]
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
-        dmat = delta.reshape(b * oh * ow, self.filters)
-        wmat = self.params["W"].reshape(kh * kw * cin, self.filters)
-        self.grads = {
-            "W": (cols.T @ dmat).reshape(self.params["W"].shape),
-            "b": np.sum(dmat, axis=0),
-        }
-        dcols = (dmat @ wmat.T).reshape(b, oh, ow, kh, kw, cin)
-        dxp = np.zeros(xp_shape)
+        n = b * hp * wp
+        lead = (kh - 1) * dh * wp + (kw - 1) * dw
+        # upstream gradient on the stride-one row grid, after lead zero rows
+        grid = np.zeros((lead + n, self.filters))
+        placed = grid[lead:]
+        placed.reshape(b, hp, wp, self.filters)[:, : oh * sh : sh, : ow * sw : sw] = delta
+        valid = placed[: n - lead]
+        dW = np.empty(W.shape)
         for ki in range(kh):
-            i0 = ki * dh
-            for kj in range(kw):
-                j0 = kj * dw
-                dxp[:, i0 : i0 + sh * oh : sh, j0 : j0 + sw * ow : sw, :] += dcols[
-                    :, :, :, ki, kj, :
-                ]
-        return dxp[:, pt : pt + h, pl : pl + w, :]
+            lo = ki * dh * wp
+            dW[ki] = (lowered[lo : lo + n - lead].T @ valid).reshape(kw, cin, self.filters)
+        self.grads = {
+            "W": dW,
+            "b": np.sum(delta.reshape(-1, self.filters), axis=0),
+        }
+        flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
+        dxp, _ = _correlate(grid, wp, flipped, self.dilation)
+        h = hp - pt - pb
+        w = wp - pl - pr
+        return dxp[:n].reshape(b, hp, wp, cin)[:, pt : pt + h, pl : pl + w, :]
 
     def hyper(self):
         return {

@@ -333,6 +333,13 @@ class SequentialModel:
         else:
             Xt, Yt = X, Y
             Xv = Yv = None
+        if Xt.shape[0] == 0:
+            raise ValueError(
+                "training split is empty: %d rows with validation_split=%r"
+                % (X.shape[0], validation_split)
+            )
+        if Xv is not None and Xv.shape[0] == 0:
+            raise ValueError("validation split is empty")
         metric_names = [m for m, _ in self._metrics]
         history = History(metric_names, has_validation=Xv is not None)
         n = Xt.shape[0]
@@ -384,6 +391,8 @@ class SequentialModel:
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         n = X.shape[0]
+        if n == 0:
+            raise ValueError("evaluation set is empty: no rows to average over")
         total = 0.0
         msums = [0.0] * len(self._metrics)
         for lo in range(0, n, batch_size):

@@ -38,6 +38,47 @@ def direct_conv(x, w, b, stride, padding, dilation):
     return out
 
 
+def direct_conv_backward(x, w, up, stride, padding, dilation):
+    """Loop reference for the gradients of L = sum(conv(x) * up) with
+    respect to the input, the kernel and the bias, where ``up`` is the
+    gradient at the preactivation. Each output cell hands its upstream
+    value back to every input cell and weight it read; written, like
+    ``direct_conv``, without any shared code with the layer under test."""
+    bs, h, wd, cin = x.shape
+    kh, kw, _, cout = w.shape
+    sh, sw = stride
+    dh, dw = dilation
+    pt, pb = conv._resolve_padding(padding, h, kh, sh, dh)
+    pl, pr = conv._resolve_padding(padding, wd, kw, sw, dw)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    _, oh, ow, _ = up.shape
+    dxp = np.zeros(xp.shape)
+    dw_ = np.zeros(w.shape)
+    db = np.zeros(cout)
+    for n in range(bs):
+        for i in range(oh):
+            for j in range(ow):
+                for f in range(cout):
+                    g = up[n, i, j, f]
+                    db[f] += g
+                    for ki in range(kh):
+                        for kj in range(kw):
+                            r = i * sh + ki * dh
+                            q = j * sw + kj * dw
+                            for c in range(cin):
+                                dw_[ki, kj, c, f] += xp[n, r, q, c] * g
+                                dxp[n, r, q, c] += w[ki, kj, c, f] * g
+    return dxp[:, pt : pt + h, pl : pl + wd, :], dw_, db
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """Largest absolute difference within ``rel`` of the largest
+    reference magnitude."""
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want))
+    assert err <= rel * np.max(np.abs(want)), err
+
+
 def fd_grads(layer, x, up, eps=1e-6):
     """Central-difference gradients of L = sum(forward(x) * up) for the
     input and every parameter."""
@@ -208,6 +249,49 @@ class TestConv2DBackward:
         npt.assert_allclose(dx, want["x"], atol=1e-5)
         npt.assert_allclose(layer.grads["W"], want["W"], atol=1e-5)
         npt.assert_allclose(layer.grads["b"], want["b"], atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "k,s,p,d,in_shape",
+        [
+            (k, s, p, d, (5, 6, 2))
+            for k, s, p, d in itertools.product(
+                [1, 2, 3], [1, 2], ["valid", "same", 1], [1, 2]
+            )
+            if not (k == 3 and d == 2 and p == "valid")
+        ]
+        + [
+            ((2, 3), (1, 2), "valid", 1, (5, 8, 2)),
+            ((3, 2), (2, 1), "same", (1, 2), (6, 7, 2)),
+            (3, 1, "same", 1, (6, 7, 1)),
+            (3, 2, 1, 1, (6, 7, 1)),
+            (3, 1, "same", 2, (7, 6, 3)),
+            ((2, 3), 2, "valid", 1, (6, 7, 3)),
+        ],
+    )
+    def test_matches_direct_backward(self, k, s, p, d, in_shape):
+        # summation order differs from the loops; 1e-12 relative bounds
+        # it where the finite-difference tests above (atol 1e-5) cannot
+        rng = Rng(43)
+        layer = conv.Conv2D(3, k, stride=s, padding=p, dilation=d, activation="tanh")
+        layer.build(in_shape, rng)
+        x = rng.normal((2,) + in_shape)
+        up = rng.normal((2,) + layer.out_shape(in_shape))
+        layer.forward(x)
+        dx = layer.backward(up, preact=True)
+        want_dx, want_dw, want_db = direct_conv_backward(
+            x, layer.params["W"], up, layer.stride, p, layer.dilation
+        )
+        assert_rel_close(dx, want_dx)
+        assert_rel_close(layer.grads["W"], want_dw)
+        assert_rel_close(layer.grads["b"], want_db)
+
+    def test_empty_batch(self):
+        layer = conv.Conv2D(3, 3, padding="same")
+        layer.build((5, 6, 2), Rng(0))
+        out = layer.forward(np.zeros((0, 5, 6, 2)))
+        assert out.shape == (0, 5, 6, 3)
+        assert layer.backward(out).shape == (0, 5, 6, 2)
+        npt.assert_array_equal(layer.grads["W"], 0.0)
 
     def test_preact_flag(self):
         rng = Rng(42)

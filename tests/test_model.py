@@ -197,6 +197,27 @@ class TestFit:
         with pytest.raises(ValueError, match="row counts differ"):
             m.fit(np.zeros((4, 3)), np.zeros((5, 1)), epochs=1)
 
+    @pytest.mark.parametrize("n,split", [(8, 1.0), (0, 0.0), (0, 0.5)])
+    def test_empty_training_split_rejected_before_training(self, n, split):
+        X, Y = toy_regression(n=8)
+        m = mlp()
+        m.compile((3,), "mse", "sgd")
+        before = m.layers[0].params["W"].copy()
+        with pytest.raises(ValueError, match="training split is empty"):
+            m.fit(X[:n], Y[:n], epochs=2, validation_split=split)
+        npt.assert_array_equal(m.layers[0].params["W"], before)
+
+    def test_empty_validation_split_rejected_before_training(self):
+        X, Y = toy_regression(n=8)
+        m = mlp()
+        m.compile((3,), "mse", "sgd")
+        before = m.layers[0].params["W"].copy()
+        with pytest.raises(ValueError, match="validation split is empty"):
+            m.fit(X, Y, epochs=1, validation_data=(X[:0], Y[:0]))
+        with pytest.raises(ValueError, match="validation split is empty"):
+            m.fit(X[:5], Y[:5], epochs=1, validation_split=0.1)  # int(0.5) rows
+        npt.assert_array_equal(m.layers[0].params["W"], before)
+
     def test_nan_loss_aborts_with_location(self):
         X, Y = toy_regression(n=4)
         m = SequentialModel([Dense(1)], seed=0)
@@ -395,6 +416,12 @@ class TestEvaluatePredict:
         a = m.evaluate(X, Y, batch_size=5)["loss"]
         b = m.evaluate(X, Y, batch_size=24)["loss"]
         npt.assert_allclose(a, b, atol=1e-12)
+
+    def test_evaluate_empty_set_rejected(self):
+        m = mlp()
+        m.compile((3,), "mse", "sgd")
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            m.evaluate(np.zeros((0, 3)), np.zeros((0, 1)))
 
     def test_evaluate_fused_loss_uses_logits(self):
         rng = Rng(3)
