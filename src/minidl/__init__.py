@@ -52,17 +52,9 @@ from .optim import (
     Nesterov,
     RMSprop,
     gd_scalar,
-    step_decay,
 )
 from .perceptron import Perceptron
-from .recurrent import (
-    LSTM,
-    Embedding,
-    SimpleRNN,
-    TimeDistributedDense,
-    generate_greedy,
-    time_distributed_dense,
-)
+from .recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense, generate_greedy
 from .tensor import Rng
 
 __version__ = "0.1.0"
@@ -127,8 +119,6 @@ __all__ = [
     "save_idx",
     "sigmoid",
     "softmax",
-    "step_decay",
     "tanh",
-    "time_distributed_dense",
     "train_val_test_split",
 ]

@@ -17,7 +17,6 @@ reproduces the files byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,7 +26,7 @@ from . import data as data_mod
 from . import optim as optim_mod
 from . import report
 from .gan import default_image_gan
-from .layers import BatchNorm, Dense, Dropout, Flatten
+from .layers import Dense, Dropout, Flatten
 from .conv import Conv2D, Pool2D
 from .model import SequentialModel, load_model, train_val_test_split
 from .perceptron import GATES, Perceptron
@@ -152,80 +151,7 @@ def cmd_perceptron(args):
 # train
 # ---------------------------------------------------------------------------
 
-_TASK_DEFAULTS = {
-    # batch size, optimizer, validation fraction
-    "mlp-tabular": (32, "sgd", 0.0),
-    "cnn-image": (32, "adam", 0.1),
-    "charrnn": (100, "rmsprop", 0.0),
-    "charlstm": (100, "rmsprop", 0.0),
-    "sentiment": (128, "adam", 0.2),
-}
-
-
-def _make_optimizer(name, lr):
-    kwargs = {}
-    if lr is not None:
-        kwargs["lr"] = lr
-    return optim_mod.get(name, **kwargs)
-
-
-def cmd_train(args):
-    _ensure_out(args)
-    d_batch, d_opt, d_val = _TASK_DEFAULTS[args.task]
-    batch_size = args.batch_size if args.batch_size is not None else d_batch
-    opt_name = args.optimizer if args.optimizer is not None else d_opt
-    val_split = args.val_split if args.val_split is not None else d_val
-    optimizer = _make_optimizer(opt_name, args.lr)
-
-    if args.task == "mlp-tabular":
-        result = _train_tabular(args, optimizer, batch_size)
-    elif args.task == "cnn-image":
-        result = _train_cnn(args, optimizer, batch_size, val_split)
-    elif args.task in ("charrnn", "charlstm"):
-        result = _train_char(args, optimizer, batch_size, val_split)
-    else:
-        result = _train_sentiment(args, optimizer, batch_size, val_split)
-    model, history, final = result
-
-    history.save_csv(os.path.join(args.out, "history.csv"))
-    epochs = history.epochs
-    loss_series = {"train loss": (epochs, history.history["loss"])}
-    if "val_loss" in history.history:
-        loss_series["val loss"] = (epochs, history.history["val_loss"])
-    report.write_curve_svg(
-        os.path.join(args.out, "loss.svg"),
-        loss_series,
-        title="%s loss" % args.task,
-        xlabel="epoch",
-        ylabel="loss",
-    )
-    if "accuracy" in history.history:
-        acc_series = {"train accuracy": (epochs, history.history["accuracy"])}
-        if "val_accuracy" in history.history:
-            acc_series["val accuracy"] = (epochs, history.history["val_accuracy"])
-        report.write_curve_svg(
-            os.path.join(args.out, "accuracy.svg"),
-            acc_series,
-            title="%s accuracy" % args.task,
-            xlabel="epoch",
-            ylabel="accuracy",
-        )
-    model.save(os.path.join(args.out, "model.gbk"))
-    print("final: " + "  ".join("%s=%.6f" % (k, v) for k, v in sorted(final.items())))
-    _write_manifest(
-        args,
-        {
-            "batch_size": batch_size,
-            "optimizer_resolved": optimizer.name,
-            "optimizer_config": optimizer.config(),
-            "val_split": val_split,
-            "final": final,
-        },
-    )
-    return 0
-
-
-def _train_tabular(args, optimizer, batch_size):
+def _tabular_task(args, val_split):
     """Feature table with the label in the last column: scale features
     to [0, 1], hold out 30% (split evenly into validation and test),
     and fit a 32/32 sigmoid network with binary cross entropy."""
@@ -237,26 +163,15 @@ def _train_tabular(args, optimizer, batch_size):
     Xtr, Ytr, Xva, Yva, Xte, Yte = train_val_test_split(X, Y, 0.3, rng)
     scaler = data_mod.MinMaxScaler().fit(Xtr)
     Xtr, Xva, Xte = scaler.transform(Xtr), scaler.transform(Xva), scaler.transform(Xte)
-    model = SequentialModel(
-        [
-            Dense(32, activation="sigmoid"),
-            Dense(32, activation="sigmoid"),
-            Dense(1, activation="sigmoid"),
-        ],
-        seed=args.seed,
+    layers = [
+        Dense(32, activation="sigmoid"),
+        Dense(32, activation="sigmoid"),
+        Dense(1, activation="sigmoid"),
+    ]
+    return (
+        layers, (X.shape[1],), "binary_crossentropy", Xtr, Ytr,
+        {"validation_data": (Xva, Yva)}, (Xte, Yte), "test_",
     )
-    model.compile((X.shape[1],), "binary_crossentropy", optimizer, metrics=("accuracy",))
-    print(model.summary())
-    history = model.fit(
-        Xtr,
-        Ytr,
-        epochs=args.epochs,
-        batch_size=batch_size,
-        validation_data=(Xva, Yva),
-        verbose=args.verbose,
-    )
-    final = model.evaluate(Xte, Yte, batch_size=batch_size)
-    return model, history, {"test_" + k: v for k, v in final.items()}
 
 
 def _load_idx_pairs(paths, limit_train, limit_test):
@@ -300,7 +215,7 @@ def image_classifier_layers(num_classes=10):
     ]
 
 
-def _train_cnn(args, optimizer, batch_size, val_split):
+def _cnn_task(args, val_split):
     (train_imgs, train_labels), (test_imgs, test_labels) = _load_idx_pairs(
         args.data, args.limit_train, args.limit_test
     )
@@ -311,24 +226,13 @@ def _train_cnn(args, optimizer, batch_size, val_split):
 
     Xtr, Ytr = prep(train_imgs, train_labels)
     Xte, Yte = prep(test_imgs, test_labels)
-    model = SequentialModel(image_classifier_layers(10), seed=args.seed)
-    model.compile(
-        Xtr.shape[1:], "categorical_crossentropy", optimizer, metrics=("accuracy",)
+    return (
+        image_classifier_layers(10), Xtr.shape[1:], "categorical_crossentropy",
+        Xtr, Ytr, {"validation_split": val_split}, (Xte, Yte), "test_",
     )
-    print(model.summary())
-    history = model.fit(
-        Xtr,
-        Ytr,
-        epochs=args.epochs,
-        batch_size=batch_size,
-        validation_split=val_split,
-        verbose=args.verbose,
-    )
-    final = model.evaluate(Xte, Yte, batch_size=batch_size)
-    return model, history, {"test_" + k: v for k, v in final.items()}
 
 
-def _train_char(args, optimizer, batch_size, val_split):
+def _char_task(args, val_split):
     if len(args.data) != 1:
         raise SystemExit("%s expects one text file path" % args.task)
     with open(args.data[0], "r", encoding="utf-8") as f:
@@ -344,6 +248,7 @@ def _train_char(args, optimizer, batch_size, val_split):
         "text: %d characters, vocabulary %d, %d sequences of length %d"
         % (len(text), n_vocab, X.shape[0], seq_length)
     )
+    vocab.save_json(os.path.join(args.out, "vocab.json"))
     units = args.units
     drop = 0.4 if args.task == "charlstm" else 0.3
     layers = []
@@ -354,28 +259,13 @@ def _train_char(args, optimizer, batch_size, val_split):
             layers.append(SimpleRNN(units, activation="relu", return_sequences=True))
         layers.append(Dropout(drop))
     layers.append(TimeDistributedDense(n_vocab, activation="softmax"))
-    model = SequentialModel(layers, seed=args.seed)
-    model.compile(
-        (seq_length, n_vocab),
-        "categorical_crossentropy",
-        optimizer,
-        metrics=("accuracy",),
+    return (
+        layers, (seq_length, n_vocab), "categorical_crossentropy",
+        X, Y, {"validation_split": val_split}, (X, Y), "",
     )
-    print(model.summary())
-    history = model.fit(
-        X,
-        Y,
-        epochs=args.epochs,
-        batch_size=batch_size,
-        validation_split=val_split,
-        verbose=args.verbose,
-    )
-    final = model.evaluate(X, Y, batch_size=batch_size)
-    vocab.save_json(os.path.join(args.out, "vocab.json"))
-    return model, history, final
 
 
-def _train_sentiment(args, optimizer, batch_size, val_split):
+def _sentiment_task(args, val_split):
     """Tab-separated lines "<label>\\t<text>" with integer 0/1 labels."""
     if len(args.data) != 1:
         raise SystemExit("sentiment expects one TSV path")
@@ -399,28 +289,99 @@ def _train_sentiment(args, optimizer, batch_size, val_split):
     X = data_mod.pad_sequences(seqs, maxlen=args.maxlen, padding="pre", truncating="pre")
     Y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     vocab_size = min(args.num_words, len(tok.word_index)) + 1
-    model = SequentialModel(
-        [
-            Embedding(vocab_size, args.embed_dim),
-            LSTM(args.units),
-            Dense(1, activation="sigmoid"),
-        ],
-        seed=args.seed,
+    layers = [
+        Embedding(vocab_size, args.embed_dim),
+        LSTM(args.units),
+        Dense(1, activation="sigmoid"),
+    ]
+    return (
+        layers, (X.shape[1],), "binary_crossentropy",
+        X, Y, {"validation_split": val_split}, (X, Y), "",
     )
-    model.compile(
-        (X.shape[1],), "binary_crossentropy", optimizer, metrics=("accuracy",)
+
+
+# Per task: default batch size, optimizer and validation fraction, and
+# the function that loads and prepares the data. It returns what
+# differs between tasks: (layers, per-sample input shape, loss, X, Y,
+# fit keywords choosing the validation rows, evaluation set, prefix of
+# the final metric keys); cmd_train compiles, fits and evaluates.
+_TASKS = {
+    "mlp-tabular": (32, "sgd", 0.0, _tabular_task),
+    "cnn-image": (32, "adam", 0.1, _cnn_task),
+    "charrnn": (100, "rmsprop", 0.0, _char_task),
+    "charlstm": (100, "rmsprop", 0.0, _char_task),
+    "sentiment": (128, "adam", 0.2, _sentiment_task),
+}
+
+
+def _make_optimizer(name, lr):
+    kwargs = {}
+    if lr is not None:
+        kwargs["lr"] = lr
+    return optim_mod.get(name, **kwargs)
+
+
+def cmd_train(args):
+    _ensure_out(args)
+    d_batch, d_opt, d_val, task = _TASKS[args.task]
+    batch_size = args.batch_size if args.batch_size is not None else d_batch
+    opt_name = args.optimizer if args.optimizer is not None else d_opt
+    val_split = args.val_split if args.val_split is not None else d_val
+    optimizer = _make_optimizer(opt_name, args.lr)
+
+    layers, input_shape, loss, X, Y, fit_kwargs, eval_set, key_prefix = task(
+        args, val_split
     )
+    model = SequentialModel(layers, seed=args.seed)
+    model.compile(input_shape, loss, optimizer, metrics=("accuracy",))
     print(model.summary())
     history = model.fit(
         X,
         Y,
         epochs=args.epochs,
         batch_size=batch_size,
-        validation_split=val_split,
         verbose=args.verbose,
+        **fit_kwargs,
     )
-    final = model.evaluate(X, Y, batch_size=batch_size)
-    return model, history, final
+    scores = model.evaluate(*eval_set, batch_size=batch_size)
+    final = {key_prefix + k: v for k, v in scores.items()}
+
+    history.save_csv(os.path.join(args.out, "history.csv"))
+    epochs = history.epochs
+    loss_series = {"train loss": (epochs, history.history["loss"])}
+    if "val_loss" in history.history:
+        loss_series["val loss"] = (epochs, history.history["val_loss"])
+    report.write_curve_svg(
+        os.path.join(args.out, "loss.svg"),
+        loss_series,
+        title="%s loss" % args.task,
+        xlabel="epoch",
+        ylabel="loss",
+    )
+    if "accuracy" in history.history:
+        acc_series = {"train accuracy": (epochs, history.history["accuracy"])}
+        if "val_accuracy" in history.history:
+            acc_series["val accuracy"] = (epochs, history.history["val_accuracy"])
+        report.write_curve_svg(
+            os.path.join(args.out, "accuracy.svg"),
+            acc_series,
+            title="%s accuracy" % args.task,
+            xlabel="epoch",
+            ylabel="accuracy",
+        )
+    model.save(os.path.join(args.out, "model.gbk"))
+    print("final: " + "  ".join("%s=%.6f" % (k, v) for k, v in sorted(final.items())))
+    _write_manifest(
+        args,
+        {
+            "batch_size": batch_size,
+            "optimizer_resolved": optimizer.name,
+            "optimizer_config": optimizer.config(),
+            "val_split": val_split,
+            "final": final,
+        },
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +498,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a reference network")
     p.add_argument(
         "--task",
-        choices=sorted(_TASK_DEFAULTS),
+        choices=sorted(_TASKS),
         required=True,
     )
     p.add_argument("--data", nargs="+", required=True, help="task data paths")

@@ -76,13 +76,7 @@ class GanTrainer:
         value = self._loss.value(out, y)
         grad = self._loss.grad(out, y)
         self.discriminator.backward(grad, preact=True)
-        grads = self.discriminator.named_grads()
-        params = {
-            k: v
-            for k, v in self.discriminator.named_params().items()
-            if k in grads
-        }
-        self.d_optimizer.step(params, grads)
+        self.discriminator.apply_gradients(self.d_optimizer)
         return value
 
     def generator_step(self, rng=None):
@@ -98,11 +92,7 @@ class GanTrainer:
         grad = self._loss.grad(d_out, y)
         dx = self.discriminator.backward(grad, preact=True)
         self.generator.backward(dx, preact=False)
-        grads = self.generator.named_grads()
-        params = {
-            k: v for k, v in self.generator.named_params().items() if k in grads
-        }
-        self.g_optimizer.step(params, grads)
+        self.generator.apply_gradients(self.g_optimizer)
         return value
 
     # -- the loop ----------------------------------------------------------

@@ -86,14 +86,11 @@ class History:
     def save_csv(self, path):
         import csv
 
-        cols = ["loss"] + self.metric_names
-        if self.has_validation:
-            cols += ["val_loss"] + ["val_" + m for m in self.metric_names]
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["epoch"] + cols)
+            w.writerow(["epoch"] + list(self.history))
             for i, e in enumerate(self.epochs):
-                w.writerow([e] + [repr(self.history[c][i]) for c in cols])
+                w.writerow([e] + [repr(col[i]) for col in self.history.values()])
 
 
 class Callback:
@@ -289,10 +286,15 @@ class SequentialModel:
         value = self.loss.value(loss_in, y)
         grad = self.loss.grad(loss_in, y)
         self.backward(grad, preact=self.loss.fused is not None)
+        self.apply_gradients(self.optimizer)
+        return value, out
+
+    def apply_gradients(self, optimizer):
+        """Step ``optimizer`` over every trainable parameter, using the
+        gradients the last ``backward`` left in each layer."""
         grads = self.named_grads()
         params = {k: v for k, v in self.named_params().items() if k in grads}
-        self.optimizer.step(params, grads)
-        return value, out
+        optimizer.step(params, grads)
 
     # -- training loop -----------------------------------------------------
 
@@ -321,6 +323,10 @@ class SequentialModel:
         if X.shape[0] != Y.shape[0]:
             raise ValueError(
                 "X and Y row counts differ: %d vs %d" % (X.shape[0], Y.shape[0])
+            )
+        if not 0.0 <= validation_split <= 1.0:  # also rejects NaN
+            raise ValueError(
+                "validation_split must be in [0, 1], got %r" % (validation_split,)
             )
         if validation_data is not None:
             Xv = np.asarray(validation_data[0], dtype=np.float64)
@@ -557,11 +563,16 @@ def load_model(path, seed=0):
     which is enough for inference and fresh fine-tuning."""
     manifest, arrays = _read_model_file(path)
     layers = []
-    for entry in manifest["layers"]:
+    for i, entry in enumerate(manifest["layers"]):
         kind = entry["kind"]
         if kind not in LAYER_KINDS:
             raise ModelFileError("unknown layer kind %r in file" % (kind,))
-        layers.append(LAYER_KINDS[kind](**entry["hyper"]))
+        try:
+            layers.append(LAYER_KINDS[kind](**entry["hyper"]))
+        except (TypeError, KeyError, ValueError) as e:
+            raise ModelFileError(
+                "cannot rebuild layer %d (%s) from the file: %s" % (i, kind, e)
+            ) from None
     model = SequentialModel(layers, seed=seed)
     model.compile(
         tuple(manifest["input_shape"]),
@@ -595,6 +606,11 @@ def _read_model_file(path):
             "unsupported model format version %d (expected %d)"
             % (version, FORMAT_VERSION)
         )
+    # everything after the header is parsed only once the checksum
+    # vouches for it, so corruption cannot surface as a parse error
+    (stored_crc,) = struct.unpack("<I", raw[-4:])
+    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
+        raise ModelFileError("model file checksum mismatch")
     (mlen,) = struct.unpack("<I", need(4))
     try:
         manifest = json.loads(need(mlen).decode("utf-8"))
@@ -611,9 +627,6 @@ def _read_model_file(path):
             count *= d
         data = need(8 * count)
         arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    (stored_crc,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise ModelFileError("model file checksum mismatch")
     return manifest, arrays
 
 

@@ -6,8 +6,7 @@ parameter arrays in place so every layer holding a reference sees the
 update. Epsilon terms sit inside the square roots.
 
 Also here: ``gd_scalar``, plain one-dimensional gradient descent with a
-recorded trace, and ``step_decay`` for piecewise-constant learning rate
-schedules.
+recorded trace.
 """
 
 from __future__ import annotations
@@ -200,17 +199,6 @@ def get(name, **kwargs):
             "unknown optimizer %r (choices: %s)" % (name, ", ".join(sorted(_REGISTRY)))
         ) from None
     return cls(**kwargs)
-
-
-def step_decay(lr0, drop, every_epochs):
-    """Return epoch -> lr0 * drop**floor(epoch / every_epochs)."""
-    if every_epochs <= 0:
-        raise ValueError("every_epochs must be positive")
-
-    def schedule(epoch):
-        return lr0 * drop ** (epoch // every_epochs)
-
-    return schedule
 
 
 # ---------------------------------------------------------------------------

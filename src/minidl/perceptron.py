@@ -9,8 +9,6 @@ misclassified samples.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 

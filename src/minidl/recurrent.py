@@ -13,6 +13,18 @@ from . import activations
 from .layers import Dense, Layer, get_initializer
 
 
+class _SequenceLayer(Layer):
+    """Base for layers reading [batch, time, features] input."""
+
+    def _check_input(self, x):
+        # time length may vary between calls; only features are fixed
+        if x.ndim != 3 or x.shape[2] != self.input_shape[1]:
+            raise ValueError(
+                "%s expected [batch, time, %d] input, got shape %s"
+                % (self.kind, self.input_shape[1], x.shape)
+            )
+
+
 class Embedding(Layer):
     """Lookup table mapping integer token ids to dense rows.
 
@@ -80,7 +92,7 @@ class Embedding(Layer):
         }
 
 
-class SimpleRNN(Layer):
+class SimpleRNN(_SequenceLayer):
     """Vanilla recurrence h_t = f(h_{t-1} @ W + x_t @ U + b)."""
 
     kind = "simple_rnn"
@@ -109,14 +121,6 @@ class SimpleRNN(Layer):
     def out_shape(self, input_shape):
         t = input_shape[0]
         return (t, self.units) if self.return_sequences else (self.units,)
-
-    def _check_input(self, x):
-        # time length may vary between calls; only features are fixed
-        if x.ndim != 3 or x.shape[2] != self.input_shape[1]:
-            raise ValueError(
-                "%s expected [batch, time, %d] input, got shape %s"
-                % (self.kind, self.input_shape[1], x.shape)
-            )
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -173,7 +177,7 @@ class SimpleRNN(Layer):
         }
 
 
-class LSTM(Layer):
+class LSTM(_SequenceLayer):
     """Long short-term memory layer.
 
     Gates (f forget, i input, o output) use the sigmoid; the candidate
@@ -214,13 +218,6 @@ class LSTM(Layer):
     def out_shape(self, input_shape):
         t = input_shape[0]
         return (t, self.units) if self.return_sequences else (self.units,)
-
-    def _check_input(self, x):
-        if x.ndim != 3 or x.shape[2] != self.input_shape[1]:
-            raise ValueError(
-                "%s expected [batch, time, %d] input, got shape %s"
-                % (self.kind, self.input_shape[1], x.shape)
-            )
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -291,7 +288,7 @@ class LSTM(Layer):
         return {"units": self.units, "return_sequences": self.return_sequences}
 
 
-class TimeDistributedDense(Layer):
+class TimeDistributedDense(_SequenceLayer):
     """Apply one dense layer independently at every timestep.
 
     Equivalent to reshaping [batch, time, n] to [batch*time, n], running
@@ -322,13 +319,6 @@ class TimeDistributedDense(Layer):
     def out_shape(self, input_shape):
         return (input_shape[0], self.units)
 
-    def _check_input(self, x):
-        if x.ndim != 3 or x.shape[2] != self.input_shape[1]:
-            raise ValueError(
-                "%s expected [batch, time, %d] input, got shape %s"
-                % (self.kind, self.input_shape[1], x.shape)
-            )
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
@@ -350,15 +340,6 @@ class TimeDistributedDense(Layer):
 
     def hyper(self):
         return {"units": self.units, "activation": self._dense.activation.name}
-
-
-def time_distributed_dense(x, W, b, activation="linear"):
-    """Functional form: act(x @ W + b) at each timestep of [b, T, n]."""
-    x = np.asarray(x, dtype=np.float64)
-    bsz, T, n = x.shape
-    act = activations.get(activation)
-    out = act.fn(x.reshape(bsz * T, n) @ W + b)
-    return out.reshape(bsz, T, -1)
 
 
 def generate_greedy(model, seed_id, length, n_vocab, window=100):

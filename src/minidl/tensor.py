@@ -1,12 +1,9 @@
-"""Dense float64 tensors and a reproducible random number generator.
+"""The reproducible random number generator behind all of minidl's draws.
 
-Tensors are plain ``numpy.ndarray`` objects in C (row-major) order with
-dtype float64. The helpers here are the small operation set the rest of
-the library is written against. Element-wise arithmetic deliberately
-rejects general broadcasting: the only shape pairs accepted are equal
-shapes, a trailing row vector against a matrix, and a scalar against
-anything. Every formula in the library fits one of those three cases,
-so anything else is treated as a shape bug and raised loudly.
+Tensors throughout the library are plain ``numpy.ndarray`` objects in
+C (row-major) order with dtype float64, operated on with numpy
+directly. This module holds only ``Rng``: layer initialization, batch
+shuffling, dropout masks and GAN noise all draw from it.
 """
 
 from __future__ import annotations
@@ -14,40 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-__all__ = [
-    "Rng",
-    "astensor",
-    "zeros",
-    "ones",
-    "matmul",
-    "ewise",
-    "reduce",
-    "reshape",
-    "transpose2d",
-    "slice_rows",
-    "concat_rows",
-    "rand_normal",
-    "rand_uniform",
-]
-
-
-def astensor(data):
-    """Coerce nested lists / arrays to a C-contiguous float64 array."""
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
-def zeros(shape):
-    return np.zeros(shape, dtype=np.float64)
-
-
-def ones(shape):
-    return np.ones(shape, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# random numbers
-# ---------------------------------------------------------------------------
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -143,140 +106,3 @@ class Rng:
         """Derive an independent stream for parallel or nested use."""
         return Rng(int(_mix64(np.uint64((self._seed + 0x632BE59BD9B4E019 * (tag + 1)) & _U64_MASK))))
 
-
-def rand_normal(shape, rng: Rng, mean=0.0, std=1.0):
-    return rng.normal(shape, mean=mean, std=std)
-
-
-def rand_uniform(shape, rng: Rng, low=0.0, high=1.0):
-    return rng.uniform(shape, low=low, high=high)
-
-
-# ---------------------------------------------------------------------------
-# shape-checked operations
-# ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    """Matrix product of two 2-D tensors with an explicit inner-dim check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(
-            "matmul expects 2-D operands, got shapes %s and %s" % (a.shape, b.shape)
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            "matmul inner dimensions differ: %s vs %s" % (a.shape, b.shape)
-        )
-    return a @ b
-
-
-_EWISE_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
-
-
-def _broadcast_ok(big, small):
-    # trailing row vector: (n,) or (1, n) against (..., n)
-    if small.ndim == 1 and big.ndim >= 1 and small.shape[0] == big.shape[-1]:
-        return True
-    if (
-        small.ndim == 2
-        and small.shape[0] == 1
-        and big.ndim >= 1
-        and small.shape[1] == big.shape[-1]
-    ):
-        return True
-    return False
-
-
-def ewise(a, b, op: str):
-    """Element-wise arithmetic with restricted broadcasting.
-
-    Allowed operand pairs: identical shapes, a trailing row vector on
-    either side, or a scalar on either side. Anything else raises, on
-    the grounds that silent general broadcasting hides shape bugs.
-    """
-    if op not in _EWISE_OPS:
-        raise ValueError("unknown ewise op %r" % (op,))
-    fn = _EWISE_OPS[op]
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    if a_arr.shape == b_arr.shape:
-        return fn(a_arr, b_arr)
-    if a_arr.ndim == 0 or b_arr.ndim == 0:
-        return fn(a_arr, b_arr)
-    if _broadcast_ok(a_arr, b_arr) or _broadcast_ok(b_arr, a_arr):
-        return fn(a_arr, b_arr)
-    raise ValueError(
-        "ewise %s: shapes %s and %s are not equal, scalar, or trailing row vector"
-        % (op, a_arr.shape, b_arr.shape)
-    )
-
-
-_REDUCE_KINDS = ("sum", "mean", "max", "argmax")
-
-
-def reduce(a, kind: str, axis=None):
-    """Reductions over an axis (or all elements when axis is None).
-
-    argmax resolves ties to the lowest index, which keeps downstream
-    class decisions deterministic.
-    """
-    if kind not in _REDUCE_KINDS:
-        raise ValueError("unknown reduce kind %r" % (kind,))
-    a = np.asarray(a, dtype=np.float64)
-    if kind == "sum":
-        return np.sum(a, axis=axis)
-    if kind == "mean":
-        return np.mean(a, axis=axis)
-    if kind == "max":
-        return np.max(a, axis=axis)
-    return np.argmax(a, axis=axis)  # numpy argmax already picks the first max
-
-
-def reshape(a, shape):
-    a = np.asarray(a, dtype=np.float64)
-    new_size = int(np.prod(shape, dtype=np.int64)) if len(tuple(shape)) else 1
-    if a.size != new_size:
-        raise ValueError(
-            "reshape cannot view %s (%d elements) as %s (%d elements)"
-            % (a.shape, a.size, tuple(shape), new_size)
-        )
-    return np.ascontiguousarray(a).reshape(shape)
-
-
-def transpose2d(a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("transpose2d expects a 2-D tensor, got shape %s" % (a.shape,))
-    return a.T.copy()
-
-
-def slice_rows(a, start: int, stop: int):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 1:
-        raise ValueError("slice_rows expects at least 1-D input")
-    n = a.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ValueError(
-            "slice_rows range [%d, %d) out of bounds for %d rows" % (start, stop, n)
-        )
-    return a[start:stop].copy()
-
-
-def concat_rows(parts):
-    parts = [np.asarray(p, dtype=np.float64) for p in parts]
-    if not parts:
-        raise ValueError("concat_rows needs at least one tensor")
-    trail = parts[0].shape[1:]
-    for p in parts[1:]:
-        if p.shape[1:] != trail:
-            raise ValueError(
-                "concat_rows trailing shapes differ: %s vs %s"
-                % ((parts[0].shape,), (p.shape,))
-            )
-    return np.concatenate(parts, axis=0)

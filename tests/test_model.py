@@ -1,6 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minidl import model as model_mod
 from minidl.conv import Conv2D, Pool2D
@@ -138,6 +143,19 @@ class TestForwardBackward:
         npt.assert_allclose(m.layers[0].params["W"], wantW, atol=1e-12)
         npt.assert_allclose(m.layers[0].params["b"], wantb, atol=1e-12)
 
+    def test_apply_gradients_uses_the_given_optimizer(self):
+        from minidl.optim import SGD
+
+        X, Y = toy_regression(n=8)
+        m = SequentialModel([Dense(1)], seed=4)
+        m.compile((3,), "mse", SGD(lr=0.1))
+        W = m.layers[0].params["W"].copy()
+        out = m.forward(X, train=True)
+        m.backward(m.loss.grad(out, Y))
+        dW = m.layers[0].grads["W"].copy()
+        m.apply_gradients(SGD(lr=0.5))
+        npt.assert_array_equal(m.layers[0].params["W"], W - 0.5 * dW)
+
 
 class TestFit:
     def test_history_epochs_one_based(self):
@@ -205,6 +223,16 @@ class TestFit:
         before = m.layers[0].params["W"].copy()
         with pytest.raises(ValueError, match="training split is empty"):
             m.fit(X[:n], Y[:n], epochs=2, validation_split=split)
+        npt.assert_array_equal(m.layers[0].params["W"], before)
+
+    @pytest.mark.parametrize("split", [-0.1, 1.5, float("nan")])
+    def test_validation_split_outside_unit_interval_rejected(self, split):
+        X, Y = toy_regression(n=8)
+        m = mlp()
+        m.compile((3,), "mse", "sgd")
+        before = m.layers[0].params["W"].copy()
+        with pytest.raises(ValueError, match="validation_split must be in"):
+            m.fit(X, Y, epochs=1, validation_split=split)
         npt.assert_array_equal(m.layers[0].params["W"], before)
 
     def test_empty_validation_split_rejected_before_training(self):
@@ -453,6 +481,21 @@ class TestSummary:
         assert "26" in text  # total: 16 + 0 + 10
 
 
+@pytest.fixture(scope="module")
+def mutation_model(tmp_path_factory):
+    """A saved, trained BatchNorm MLP: the path each mutation is
+    written to, and the original bytes (also kept at path + ".orig")."""
+    X, Y = toy_regression()
+    m = SequentialModel([Dense(4, activation="relu"), BatchNorm(), Dense(1)])
+    m.compile((3,), "mse", "sgd")
+    m.fit(X, Y, epochs=2, batch_size=8)
+    path = str(tmp_path_factory.mktemp("mutate") / "m.gbk")
+    m.save(path + ".orig")
+    with open(path + ".orig", "rb") as f:
+        raw = f.read()
+    return path, raw
+
+
 class TestPersistence:
     def roundtrip(self, m, X, tmp_path, name="m.gbk"):
         path = str(tmp_path / name)
@@ -610,6 +653,51 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelFileError, match="version"):
             load_model(str(path))
+
+    def test_bad_hyperparameters_in_valid_file_rejected(self, tmp_path):
+        # a file whose checksum holds but whose manifest names a
+        # constructor argument the layer does not take
+        path = tmp_path / "w.gbk"
+        m = SequentialModel([Dense(1)])
+        m.compile((3,), "mse", "sgd")
+        m.save(str(path))
+        raw = path.read_bytes()[:-4]
+        raw = raw.replace(b'"units": 1', b'"unitz": 1')
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+        with pytest.raises(ModelFileError, match="layer 0"):
+            load_model(str(path))
+
+    @given(
+        kind=st.sampled_from(["flip", "truncate", "insert"]),
+        data=st.data(),
+        bit=st.integers(0, 7),
+        byte=st.integers(0, 255),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_single_mutation_raises_model_file_error(
+        self, mutation_model, kind, data, bit, byte
+    ):
+        path, raw = mutation_model
+        raw = bytearray(raw)
+        at = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if kind == "flip":
+            raw[at] ^= 1 << bit
+        elif kind == "truncate":
+            del raw[at:]
+        else:
+            raw.insert(at, byte)
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            loaded = load_model(path)
+        except ModelFileError:
+            return
+        original = load_model(path + ".orig")
+        for a, b in zip(loaded.layers, original.layers):
+            for k in b.params:
+                npt.assert_array_equal(a.params[k], b.params[k])
+            for k in b.state:
+                npt.assert_array_equal(a.state[k], b.state[k])
 
     def test_save_requires_compiled(self, tmp_path):
         m = SequentialModel([Dense(1)])

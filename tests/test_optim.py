@@ -244,16 +244,6 @@ def test_registry():
         optim.get("lion")
 
 
-def test_step_decay():
-    sched = optim.step_decay(0.1, 0.5, 10)
-    assert sched(0) == 0.1
-    assert sched(9) == 0.1
-    npt.assert_allclose(sched(10), 0.05)
-    npt.assert_allclose(sched(25), 0.025)
-    with pytest.raises(ValueError):
-        optim.step_decay(0.1, 0.5, 0)
-
-
 def test_valley_momentum_beats_sgd():
     # f = x^2 + 100 y^2 from (1, 1): an elongated valley where plain
     # gradient descent zigzags and momentum accumulates along x

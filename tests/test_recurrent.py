@@ -261,16 +261,6 @@ class TestTimeDistributedDense:
         want = dense.forward(x.reshape(10, 3)).reshape(2, 5, 4)
         npt.assert_array_equal(got, want)
 
-    def test_equals_functional_form(self):
-        rng = Rng(32)
-        tdd = recurrent.TimeDistributedDense(4, activation="tanh")
-        tdd.build((5, 3), rng)
-        x = rng.normal((2, 5, 3))
-        want = recurrent.time_distributed_dense(
-            x, tdd.params["W"], tdd.params["b"], activation="tanh"
-        )
-        npt.assert_array_equal(tdd.forward(x), want)
-
     def test_gradients_match_finite_differences(self):
         rng = Rng(33)
         tdd = recurrent.TimeDistributedDense(4, activation="tanh")

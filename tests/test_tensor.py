@@ -1,10 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from minidl import tensor as t
 from minidl.tensor import Rng
 
 
@@ -81,121 +78,3 @@ class TestRng:
         b = r.child(1).uniform((100,))
         assert not np.array_equal(a, b)
 
-
-class TestMatmul:
-    def test_basic(self):
-        a = t.astensor([[1.0, 2.0], [3.0, 4.0]])
-        b = t.astensor([[5.0, 6.0], [7.0, 8.0]])
-        npt.assert_array_equal(t.matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_inner_dim_mismatch_names_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            t.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            t.matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-class TestEwise:
-    def test_equal_shapes(self):
-        npt.assert_array_equal(
-            t.ewise([[1.0, 2.0]], [[3.0, 4.0]], "add"), [[4.0, 6.0]]
-        )
-
-    def test_scalar(self):
-        npt.assert_array_equal(t.ewise([[2.0, 4.0]], 2.0, "div"), [[1.0, 2.0]])
-        npt.assert_array_equal(t.ewise(3.0, [[1.0, 2.0]], "mul"), [[3.0, 6.0]])
-
-    def test_trailing_row_vector(self):
-        a = np.ones((4, 3))
-        b = np.array([1.0, 2.0, 3.0])
-        npt.assert_array_equal(t.ewise(a, b, "mul")[2], [1.0, 2.0, 3.0])
-        npt.assert_array_equal(t.ewise(a, b.reshape(1, 3), "add")[0], [2.0, 3.0, 4.0])
-
-    def test_rejects_general_broadcast(self):
-        # column against matrix broadcasts in numpy but must not here
-        with pytest.raises(ValueError, match="trailing row vector"):
-            t.ewise(np.ones((4, 3)), np.ones((4, 1)), "add")
-        with pytest.raises(ValueError):
-            t.ewise(np.ones((4, 1)), np.ones((1, 3)), "mul")
-
-    def test_rejects_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown ewise op"):
-            t.ewise(1.0, 2.0, "pow")
-
-    @given(
-        rows=st.integers(1, 6),
-        cols=st.integers(1, 6),
-        op=st.sampled_from(["add", "sub", "mul"]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_row_vector_matches_manual_loop(self, rows, cols, op):
-        rng = Rng(rows * 31 + cols)
-        a = rng.normal((rows, cols))
-        b = rng.normal((cols,))
-        got = t.ewise(a, b, op)
-        fn = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op]
-        want = np.array([[fn(a[i, j], b[j]) for j in range(cols)] for i in range(rows)])
-        npt.assert_allclose(got, want, rtol=0, atol=0)
-
-
-class TestReduce:
-    def test_sum_mean_max(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert t.reduce(a, "sum") == 10.0
-        npt.assert_array_equal(t.reduce(a, "mean", axis=0), [2.0, 3.0])
-        npt.assert_array_equal(t.reduce(a, "max", axis=1), [2.0, 4.0])
-
-    def test_argmax_tie_goes_to_lowest_index(self):
-        a = np.array([[1.0, 5.0, 5.0], [7.0, 7.0, 7.0]])
-        npt.assert_array_equal(t.reduce(a, "argmax", axis=1), [1, 0])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            t.reduce(np.ones(3), "min")
-
-
-class TestShapeOps:
-    def test_reshape_checks_size(self):
-        with pytest.raises(ValueError, match="6 elements"):
-            t.reshape(np.ones((2, 3)), (4, 2))
-
-    def test_reshape_row_major_order(self):
-        a = np.arange(6.0).reshape(2, 3)
-        npt.assert_array_equal(t.reshape(a, (3, 2)), [[0, 1], [2, 3], [4, 5]])
-
-    def test_transpose2d(self):
-        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        npt.assert_array_equal(t.transpose2d(a), [[1, 4], [2, 5], [3, 6]])
-        with pytest.raises(ValueError):
-            t.transpose2d(np.zeros((2, 2, 2)))
-
-    def test_slice_rows(self):
-        a = np.arange(12.0).reshape(4, 3)
-        npt.assert_array_equal(t.slice_rows(a, 1, 3), a[1:3])
-        with pytest.raises(ValueError, match="out of bounds"):
-            t.slice_rows(a, 2, 5)
-
-    def test_slice_rows_returns_copy(self):
-        a = np.arange(4.0).reshape(2, 2)
-        s = t.slice_rows(a, 0, 1)
-        s[0, 0] = 99.0
-        assert a[0, 0] == 0.0
-
-    def test_concat_rows(self):
-        a = np.ones((2, 3))
-        b = np.zeros((1, 3))
-        out = t.concat_rows([a, b])
-        assert out.shape == (3, 3)
-        with pytest.raises(ValueError, match="trailing shapes"):
-            t.concat_rows([a, np.zeros((1, 4))])
-        with pytest.raises(ValueError):
-            t.concat_rows([])
-
-    def test_rand_helpers_deterministic(self):
-        npt.assert_array_equal(
-            t.rand_normal((4, 2), Rng(1)), t.rand_normal((4, 2), Rng(1))
-        )
-        u = t.rand_uniform((100,), Rng(2), low=1.0, high=2.0)
-        assert u.min() >= 1.0 and u.max() < 2.0
