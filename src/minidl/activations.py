@@ -12,15 +12,12 @@ import numpy as np
 
 
 def sigmoid(x):
-    # Split on sign so exp never overflows: exp(-x) for x >= 0 and
-    # exp(x) for x < 0 are both bounded by 1.
+    # For x >= 0 this is 1 / (1 + exp(-x)), for x < 0 it is
+    # exp(x) / (1 + exp(x)): the forms whose exp is at most 1, so
+    # nothing overflows. Written without masks or a select it gives the
+    # same bits as splitting the array on sign, several times faster.
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def dsigmoid(x, y=None):

@@ -574,13 +574,45 @@ def load_model(path, seed=0):
                 "cannot rebuild layer %d (%s) from the file: %s" % (i, kind, e)
             ) from None
     model = SequentialModel(layers, seed=seed)
-    model.compile(
-        tuple(manifest["input_shape"]),
-        manifest["loss"] or "mse",
-        manifest["optimizer"] or "sgd",
-    )
+    try:
+        model.compile(
+            tuple(manifest["input_shape"]),
+            manifest["loss"] or "mse",
+            manifest["optimizer"] or "sgd",
+        )
+    except ValueError as e:
+        raise ModelFileError("cannot rebuild the model from the file: %s" % (e,)) from None
     model._apply_arrays(arrays)
     return model
+
+
+def _check_manifest(manifest):
+    """Raise ModelFileError unless ``manifest`` has the structure that
+    ``SequentialModel.manifest`` writes, so readers may index it freely."""
+
+    def malformed(what):
+        raise ModelFileError("model manifest is malformed: %s" % (what,))
+
+    if not isinstance(manifest, dict):
+        malformed("expected an object, got %r" % (manifest,))
+    shape = manifest.get("input_shape")
+    if not isinstance(shape, list) or not all(
+        type(d) is int and d > 0 for d in shape
+    ):
+        malformed("input_shape must be a list of positive integers, got %r" % (shape,))
+    for key in ("loss", "optimizer"):
+        if key not in manifest or not isinstance(manifest[key], (str, type(None))):
+            malformed("%s must be a name or null" % (key,))
+    layers = manifest.get("layers")
+    if not isinstance(layers, list) or not layers:
+        malformed("layers must be a non-empty list, got %r" % (layers,))
+    for i, entry in enumerate(layers):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("hyper"), dict)
+        ):
+            malformed("layer %d must be an object with a kind name and a hyper object" % (i,))
 
 
 def _read_model_file(path):
@@ -616,6 +648,7 @@ def _read_model_file(path):
         manifest = json.loads(need(mlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFileError("model manifest is unreadable: %s" % (e,)) from None
+    _check_manifest(manifest)
     arrays = {}
     while pos < len(raw) - 4:
         (nlen,) = struct.unpack("<H", need(2))

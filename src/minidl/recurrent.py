@@ -1,8 +1,14 @@
 """Recurrent layers, embeddings, and greedy sequence generation.
 
 Sequence input is [batch, time, features]. Hidden state starts at zero
-for every sequence. Backward passes run full backpropagation through
-time over the cached per-step tensors.
+for every sequence. ``SimpleRNN`` and ``LSTM`` keep only the recurrence
+in their time loops (Appleyard, Kocisky and Blunsom 2016, "Optimizing
+Performance of Recurrent Neural Networks on GPUs"): the input projection
+``x @ U`` for all steps is one GEMM before the forward loop, and
+backpropagation through time leaves ``dW``, ``dU``, ``db`` and ``dx`` to
+one GEMM or sum each after the backward loop. Backward overwrites the
+per-step tensors that ``forward`` cached, so each forward serves one
+backward; a second backward raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,25 @@ from . import activations
 from .layers import Dense, Layer, get_initializer
 
 
+def _previous(seq):
+    """seq[:, t - 1] at every step t of a [batch, time, n] array, with
+    zeros before the first step."""
+    prev = np.empty_like(seq)
+    prev[:, 0] = 0.0
+    prev[:, 1:] = seq[:, :-1]
+    return prev
+
+
 class _SequenceLayer(Layer):
-    """Base for layers reading [batch, time, features] input."""
+    """Base for layers reading [batch, time, features] input and emitting
+    ``units`` features at every step, or at the last step only when
+    ``return_sequences`` is False."""
+
+    _cache = None
+
+    def out_shape(self, input_shape):
+        t = input_shape[0]
+        return (t, self.units) if self.return_sequences else (self.units,)
 
     def _check_input(self, x):
         # time length may vary between calls; only features are fixed
@@ -23,6 +46,27 @@ class _SequenceLayer(Layer):
                 "%s expected [batch, time, %d] input, got shape %s"
                 % (self.kind, self.input_shape[1], x.shape)
             )
+
+    def _take_cache(self):
+        """Hand the last forward's cache to backward, which may overwrite
+        it in place. The input ``_x`` is kept apart and outlives backward
+        (perfbench's tracer reads the step count from it)."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise ValueError(
+                "%s backward needs a forward first: each forward's cache "
+                "serves one backward" % (self.kind,)
+            )
+        return cache
+
+    def _upstream_sequence(self, upstream, T):
+        """The upstream gradient at every step; a layer that returns only
+        its last step gets zeros before it."""
+        if self.return_sequences:
+            return upstream
+        up = np.zeros((upstream.shape[0], T, self.units))
+        up[:, -1] = upstream
+        return up
 
 
 class Embedding(Layer):
@@ -118,56 +162,48 @@ class SimpleRNN(_SequenceLayer):
         }
         super().build(input_shape, rng)
 
-    def out_shape(self, input_shape):
-        t = input_shape[0]
-        return (t, self.units) if self.return_sequences else (self.units,)
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        b, T, _ = x.shape
+        b, T, n_in = x.shape
         W, U, bias = self.params["W"], self.params["U"], self.params["b"]
-        h = np.zeros((b, self.units))
+        pres = (x.reshape(b * T, n_in) @ U).reshape(b, T, self.units)
         hs = np.empty((b, T, self.units))
-        pres = np.empty((b, T, self.units))
+        h = np.zeros((b, self.units))
         for t in range(T):
-            pre = h @ W + x[:, t, :] @ U + bias
-            h = self.activation.fn(pre)
-            pres[:, t] = pre
-            hs[:, t] = h
-        self._x, self._hs, self._pres = x, hs, pres
-        return hs if self.return_sequences else hs[:, -1, :]
+            pre = pres[:, t]
+            pre += h @ W
+            pre += bias
+            h = hs[:, t] = self.activation.fn(pre)
+        self._x, self._cache = x, (pres, hs)
+        return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False):
-        x, hs, pres = self._x, self._hs, self._pres
+        pres, hs = self._take_cache()
+        x = self._x
         b, T, n_in = x.shape
         W, U = self.params["W"], self.params["U"]
-        dW = np.zeros_like(W)
-        dU = np.zeros_like(U)
-        db = np.zeros_like(self.params["b"])
-        dx = np.empty_like(x)
+        up = self._upstream_sequence(upstream, T)
+        # a fused loss has already differentiated through the step
+        # activation; only meaningful when this is the last layer
+        fused = preact and self.return_sequences
+        # each step's delta overwrites that step's activation derivative
+        # (or, when fused, its preactivation)
+        deltas = pres if fused else self.activation.deriv(pres, hs)
         carry = np.zeros((b, self.units))
-        if not self.return_sequences:
-            up_seq = np.zeros((b, T, self.units))
-            up_seq[:, -1, :] = upstream
-        else:
-            up_seq = upstream
         for t in range(T - 1, -1, -1):
-            dh = up_seq[:, t, :] + carry
-            if preact and self.return_sequences:
-                # fused loss already differentiated through the step
-                # activation; only meaningful when this is the last layer
-                delta = dh
-            else:
-                delta = dh * self.activation.deriv(pres[:, t], hs[:, t])
-            h_prev = hs[:, t - 1, :] if t > 0 else np.zeros((b, self.units))
-            dW += h_prev.T @ delta
-            dU += x[:, t, :].T @ delta
-            db += np.sum(delta, axis=0)
-            dx[:, t, :] = delta @ U.T
+            delta = up[:, t] + carry
+            if not fused:
+                delta *= deltas[:, t]
+            deltas[:, t] = delta
             carry = delta @ W.T
-        self.grads = {"W": dW, "U": dU, "b": db}
-        return dx
+        d2 = deltas.reshape(b * T, self.units)
+        self.grads = {
+            "W": _previous(hs).reshape(b * T, self.units).T @ d2,
+            "U": x.reshape(b * T, n_in).T @ d2,
+            "b": d2.sum(axis=0),
+        }
+        return (d2 @ U.T).reshape(b, T, n_in)
 
     def hyper(self):
         return {
@@ -182,7 +218,8 @@ class LSTM(_SequenceLayer):
 
     Gates (f forget, i input, o output) use the sigmoid; the candidate
     a uses tanh. Each of the four has its own recurrent matrix W, input
-    matrix U, and bias b:
+    matrix U, and bias b, stored as the 12 parameters ``Wf, Uf, bf, Wi,
+    ..., bo`` in gate order f, i, a, o:
 
         f_t = sigmoid(h_{t-1} @ Wf + x_t @ Uf + bf)
         i_t = sigmoid(h_{t-1} @ Wi + x_t @ Ui + bi)
@@ -190,10 +227,20 @@ class LSTM(_SequenceLayer):
         o_t = sigmoid(h_{t-1} @ Wo + x_t @ Uo + bo)
         c_t = f_t * c_{t-1} + i_t * a_t
         h_t = o_t * tanh(c_t)
+
+    Each call joins the 12 arrays into W [units, 4*units], U [features,
+    4*units] and b [4*units] in the fused order f, i, o, a, which puts
+    the three sigmoid gates side by side. Nothing aliases the parameters,
+    so a write such as ``params["bf"][:] = 500`` acts on the next call.
+    Forward fills a [batch, time, 4*units] gate buffer with ``x @ U``;
+    each step adds ``h @ W`` and b to its slice and overwrites it with
+    the gate values. Backward overwrites each step's gate values with
+    the gate deltas and does one recurrent GEMM per step.
     """
 
     kind = "lstm"
     GATES = ("f", "i", "a", "o")
+    _FUSED = ("f", "i", "o", "a")
 
     def __init__(self, units, return_sequences=False, init="glorot"):
         super().__init__()
@@ -215,74 +262,65 @@ class LSTM(_SequenceLayer):
             self.params["b" + g] = np.zeros(self.units)
         super().build(input_shape, rng)
 
-    def out_shape(self, input_shape):
-        t = input_shape[0]
-        return (t, self.units) if self.return_sequences else (self.units,)
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        b, T, _ = x.shape
+        b, T, n_in = x.shape
+        u = self.units
         p = self.params
-        h = np.zeros((b, self.units))
-        c = np.zeros((b, self.units))
-        cache = {k: np.empty((b, T, self.units)) for k in ("f", "i", "a", "o", "c", "tc", "h")}
+        W, U, bias = (np.concatenate([p[k + g] for g in self._FUSED], axis=-1) for k in "WUb")
+        gates = (x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u)
+        gv = gates.reshape(b, T, 4, u)
+        cs = np.empty((b, T, u))
+        tcs = np.empty((b, T, u))
+        hs = np.empty((b, T, u))
+        h = np.zeros((b, u))
+        c = np.zeros((b, u))
         for t in range(T):
-            xt = x[:, t, :]
-            f = activations.sigmoid(h @ p["Wf"] + xt @ p["Uf"] + p["bf"])
-            i = activations.sigmoid(h @ p["Wi"] + xt @ p["Ui"] + p["bi"])
-            a = activations.tanh(h @ p["Wa"] + xt @ p["Ua"] + p["ba"])
-            o = activations.sigmoid(h @ p["Wo"] + xt @ p["Uo"] + p["bo"])
-            c = f * c + i * a
-            tc = np.tanh(c)
-            h = o * tc
-            for k, v in (("f", f), ("i", i), ("a", a), ("o", o), ("c", c), ("tc", tc), ("h", h)):
-                cache[k][:, t] = v
-        self._x, self._cache = x, cache
-        return cache["h"] if self.return_sequences else h
+            g = gates[:, t]
+            g += h @ W
+            g += bias
+            g[:, : 3 * u] = activations.sigmoid(g[:, : 3 * u])
+            np.tanh(g[:, 3 * u :], out=g[:, 3 * u :])
+            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
+            c = np.add(f * c, i * a, out=cs[:, t])
+            h = np.multiply(o, np.tanh(c, out=tcs[:, t]), out=hs[:, t])
+        self._x, self._cache = x, (W, U, gates, cs, tcs, hs)
+        return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False):
-        x, cache = self._x, self._cache
+        W, U, gates, cs, tcs, hs = self._take_cache()
+        x = self._x
         b, T, n_in = x.shape
-        p = self.params
-        dparams = {k: np.zeros_like(v) for k, v in p.items()}
-        dx = np.empty_like(x)
-        carry_h = np.zeros((b, self.units))
-        carry_c = np.zeros((b, self.units))
-        if not self.return_sequences:
-            up_seq = np.zeros((b, T, self.units))
-            up_seq[:, -1, :] = upstream
-        else:
-            up_seq = upstream
+        u = self.units
+        up = self._upstream_sequence(upstream, T)
+        gv = gates.reshape(b, T, 4, u)
+        zeros = np.zeros((b, u))
+        carry_h = carry_c = zeros
         for t in range(T - 1, -1, -1):
-            f = cache["f"][:, t]
-            i = cache["i"][:, t]
-            a = cache["a"][:, t]
-            o = cache["o"][:, t]
-            tc = cache["tc"][:, t]
-            c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros((b, self.units))
-            h_prev = cache["h"][:, t - 1] if t > 0 else np.zeros((b, self.units))
-            dh = up_seq[:, t, :] + carry_h
+            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
+            tc = tcs[:, t]
+            c_prev = cs[:, t - 1] if t else zeros
+            dh = up[:, t] + carry_h
             dc = dh * o * (1.0 - tc * tc) + carry_c
-            deltas = {
-                "o": dh * tc * o * (1.0 - o),
-                "f": dc * c_prev * f * (1.0 - f),
-                "i": dc * a * i * (1.0 - i),
-                "a": dc * i * (1.0 - a * a),
-            }
             carry_c = dc * f
-            carry_h = np.zeros((b, self.units))
-            dxt = np.zeros((b, n_in))
-            for g in self.GATES:
-                d = deltas[g]
-                dparams["W" + g] += h_prev.T @ d
-                dparams["U" + g] += x[:, t, :].T @ d
-                dparams["b" + g] += np.sum(d, axis=0)
-                carry_h += d @ p["W" + g].T
-                dxt += d @ p["U" + g].T
-            dx[:, t, :] = dxt
-        self.grads = dparams
-        return dx
+            # the deltas overwrite the gate values they are made from
+            d_i = dc * a * i * (1.0 - i)
+            d_a = dc * i * (1.0 - a * a)
+            o *= dh * tc * (1.0 - o)
+            f *= dc * c_prev * (1.0 - f)
+            i[...] = d_i
+            a[...] = d_a
+            carry_h = gates[:, t] @ W.T
+        d2 = gates.reshape(b * T, 4 * u)
+        fused = {
+            "W": _previous(hs).reshape(b * T, u).T @ d2,
+            "U": x.reshape(b * T, n_in).T @ d2,
+            "b": d2.sum(axis=0),
+        }
+        cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
+        self.grads = {key: fused[key[0]][..., cols[key[1]]].copy() for key in self.params}
+        return (d2 @ U.T).reshape(b, T, n_in)
 
     def hyper(self):
         return {"units": self.units, "return_sequences": self.return_sequences}
@@ -296,6 +334,7 @@ class TimeDistributedDense(_SequenceLayer):
     """
 
     kind = "time_distributed_dense"
+    return_sequences = True
 
     def __init__(self, units, activation="linear", init="glorot"):
         super().__init__()
@@ -315,9 +354,6 @@ class TimeDistributedDense(_SequenceLayer):
         self._dense.build((input_shape[1],), rng)
         self.params = self._dense.params
         super().build(input_shape, rng)
-
-    def out_shape(self, input_shape):
-        return (input_shape[0], self.units)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)

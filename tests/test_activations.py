@@ -25,6 +25,36 @@ def test_sigmoid_symmetry():
     npt.assert_allclose(act.sigmoid(x) + act.sigmoid(-x), np.ones_like(x), atol=1e-12)
 
 
+def split_sigmoid(x):
+    """The sigmoid as minidl first computed it: boolean masks split the
+    input on sign and each half takes the branch whose exp is <= 1."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_split_formula():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 709.0, -709.0,
+         1e308, -1e308, 5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3]
+    )
+    rng = np.random.default_rng(0)
+    x = np.concatenate([special, rng.normal(size=200_000) * 30.0,
+                        rng.uniform(-1.0, 1.0, size=50_000)])
+    with np.errstate(over="raise", invalid="raise"):
+        got = act.sigmoid(x)
+        want = split_sigmoid(x)
+    nan = np.isnan(x)
+    npt.assert_array_equal(np.isnan(got), nan)
+    # a NaN input may come back with either sign bit; every other
+    # output must carry exactly the old bits
+    npt.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
 def test_dsigmoid_peak_and_formula():
     x = np.array([-3.0, 0.0, 1.5])
     s = act.sigmoid(x)

@@ -13,6 +13,14 @@ def read_bytes(path):
         return f.read()
 
 
+def final_metrics(printed):
+    """The metrics of the train command's ``final:`` line, parsed as the
+    benchmark parses them (it reads cnn-image's ``test_accuracy`` and
+    charlstm's ``loss`` by name)."""
+    (line,) = [ln for ln in printed.splitlines() if ln.startswith("final: ")]
+    return {k: float(v) for k, v in (kv.split("=") for kv in line[7:].split())}
+
+
 class TestGd:
     def test_converging_run(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -192,7 +200,7 @@ class TestTrainCnn:
         )
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "final:" in printed
+        assert 0.0 <= final_metrics(printed)["test_accuracy"] <= 1.0
         for name in ("history.csv", "loss.svg", "accuracy.svg", "model.gbk", "run.json"):
             assert os.path.exists(os.path.join(out, name))
         with open(os.path.join(out, "run.json")) as f:
@@ -319,6 +327,17 @@ def char_run(tmp_path_factory):
 
 
 class TestTrainChar:
+    def test_charlstm_final_line_has_loss(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(CORPUS)
+        rc = cli.main(
+            ["train", "--task", "charlstm", "--data", str(corpus), "--epochs", "1",
+             "--seq-length", "20", "--units", "8", "--layers", "1",
+             "--batch-size", "8", "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+        assert np.isfinite(final_metrics(capsys.readouterr().out)["loss"])
+
     def test_artifacts(self, char_run, capsys):
         out = char_run
         for name in ("history.csv", "loss.svg", "model.gbk", "vocab.json", "run.json"):

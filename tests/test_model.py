@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -666,6 +667,45 @@ class TestPersistence:
         path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
         with pytest.raises(ModelFileError, match="layer 0"):
             load_model(str(path))
+
+    @staticmethod
+    def with_manifest(tmp_path, edit):
+        """A saved Dense(1) model whose manifest ``edit`` rewrote, with the
+        checksum recomputed so that only the manifest is wrong. Returns
+        the path and a model of the original architecture."""
+        path = tmp_path / "m.gbk"
+        m = SequentialModel([Dense(1)])
+        m.compile((3,), "mse", "sgd")
+        m.save(str(path))
+        raw = path.read_bytes()[:-4]
+        (mlen,) = struct.unpack("<I", raw[6:10])
+        manifest = json.loads(raw[10 : 10 + mlen])
+        edit(manifest)
+        mbytes = json.dumps(manifest).encode("utf-8")
+        raw = raw[:6] + struct.pack("<I", len(mbytes)) + mbytes + raw[10 + mlen :]
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+        return str(path), m
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("input_shape"),
+            lambda m: m["layers"][0].pop("kind"),
+            lambda m: m.update(layers=5),
+        ],
+        ids=["no_input_shape", "no_layer_kind", "layers_not_a_list"],
+    )
+    def test_malformed_manifest_in_valid_file_rejected(self, tmp_path, edit):
+        path, m = self.with_manifest(tmp_path, edit)
+        with pytest.raises(ModelFileError, match="malformed"):
+            load_model(path)
+        with pytest.raises(ModelFileError, match="malformed"):
+            m.load_weights(path)
+
+    def test_unknown_loss_in_valid_file_rejected(self, tmp_path):
+        path, _ = self.with_manifest(tmp_path, lambda m: m.update(loss="hinge"))
+        with pytest.raises(ModelFileError, match="hinge"):
+            load_model(path)
 
     @given(
         kind=st.sampled_from(["flip", "truncate", "insert"]),

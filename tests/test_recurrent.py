@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minidl import recurrent
+from minidl import activations, recurrent
 from minidl.layers import Dense
 from minidl.tensor import Rng
 
@@ -40,6 +40,135 @@ def fd_grads(layer, x, up, eps=1e-5):
             pnum[i] = (hi - lo) / (2 * eps)
         out[name] = pnum.reshape(p.shape)
     return out
+
+
+def loop_rnn(layer, x, up, preact=False):
+    """SimpleRNN forward and backward as per-step loops, the way minidl
+    first wrote them: every GEMM and gradient sum inside the time loop.
+    Returns (y, dx, grads)."""
+    p, fn = layer.params, layer.activation
+    b, T, n_in = x.shape
+    u = layer.units
+    h = np.zeros((b, u))
+    hs = np.empty((b, T, u))
+    pres = np.empty((b, T, u))
+    for t in range(T):
+        pre = h @ p["W"] + x[:, t, :] @ p["U"] + p["b"]
+        h = fn.fn(pre)
+        pres[:, t] = pre
+        hs[:, t] = h
+    y = hs if layer.return_sequences else hs[:, -1, :]
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dx = np.empty_like(x)
+    carry = np.zeros((b, u))
+    if layer.return_sequences:
+        up_seq = up
+    else:
+        up_seq = np.zeros((b, T, u))
+        up_seq[:, -1, :] = up
+    for t in range(T - 1, -1, -1):
+        dh = up_seq[:, t, :] + carry
+        if preact and layer.return_sequences:
+            delta = dh
+        else:
+            delta = dh * fn.deriv(pres[:, t], hs[:, t])
+        h_prev = hs[:, t - 1, :] if t > 0 else np.zeros((b, u))
+        grads["W"] += h_prev.T @ delta
+        grads["U"] += x[:, t, :].T @ delta
+        grads["b"] += np.sum(delta, axis=0)
+        dx[:, t, :] = delta @ p["U"].T
+        carry = delta @ p["W"].T
+    return y, dx, grads
+
+
+def loop_lstm(layer, x, up):
+    """LSTM forward and backward as per-step, per-gate loops, the way
+    minidl first wrote them: 4 gate GEMM pairs per step forward, and
+    every gate's weight gradient accumulated inside the backward loop.
+    Returns (y, dx, grads)."""
+    p = layer.params
+    b, T, n_in = x.shape
+    u = layer.units
+    h = np.zeros((b, u))
+    c = np.zeros((b, u))
+    cache = {k: np.empty((b, T, u)) for k in ("f", "i", "a", "o", "c", "tc", "h")}
+    for t in range(T):
+        xt = x[:, t, :]
+        f = activations.sigmoid(h @ p["Wf"] + xt @ p["Uf"] + p["bf"])
+        i = activations.sigmoid(h @ p["Wi"] + xt @ p["Ui"] + p["bi"])
+        a = np.tanh(h @ p["Wa"] + xt @ p["Ua"] + p["ba"])
+        o = activations.sigmoid(h @ p["Wo"] + xt @ p["Uo"] + p["bo"])
+        c = f * c + i * a
+        tc = np.tanh(c)
+        h = o * tc
+        for k, v in (("f", f), ("i", i), ("a", a), ("o", o), ("c", c), ("tc", tc), ("h", h)):
+            cache[k][:, t] = v
+    y = cache["h"] if layer.return_sequences else h
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dx = np.empty_like(x)
+    carry_h = np.zeros((b, u))
+    carry_c = np.zeros((b, u))
+    if layer.return_sequences:
+        up_seq = up
+    else:
+        up_seq = np.zeros((b, T, u))
+        up_seq[:, -1, :] = up
+    for t in range(T - 1, -1, -1):
+        f, i, a, o, tc = (cache[k][:, t] for k in ("f", "i", "a", "o", "tc"))
+        c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros((b, u))
+        h_prev = cache["h"][:, t - 1] if t > 0 else np.zeros((b, u))
+        dh = up_seq[:, t, :] + carry_h
+        dc = dh * o * (1.0 - tc * tc) + carry_c
+        deltas = {
+            "o": dh * tc * o * (1.0 - o),
+            "f": dc * c_prev * f * (1.0 - f),
+            "i": dc * a * i * (1.0 - i),
+            "a": dc * i * (1.0 - a * a),
+        }
+        carry_c = dc * f
+        carry_h = np.zeros((b, u))
+        dxt = np.zeros((b, n_in))
+        for g in ("f", "i", "a", "o"):
+            d = deltas[g]
+            grads["W" + g] += h_prev.T @ d
+            grads["U" + g] += x[:, t, :].T @ d
+            grads["b" + g] += np.sum(d, axis=0)
+            carry_h += d @ p["W" + g].T
+            dxt += d @ p["U" + g].T
+        dx[:, t, :] = dxt
+    return y, dx, grads
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """Largest absolute difference within ``rel`` of the largest
+    reference magnitude."""
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want))
+    assert err <= rel * np.max(np.abs(want)), err
+
+
+def run_layer(layer, x, up, **kw):
+    y = layer.forward(x)
+    dx = layer.backward(up, **kw)
+    # named_grads() lists the gradients in this order
+    assert list(layer.grads) == list(layer.params)
+    return y, dx, layer.grads
+
+
+def assert_matches_loop(got, want):
+    # the layers sum in another order than the loops (one GEMM over all
+    # steps instead of per-step accumulation), so results agree to a
+    # relative bound, not bit for bit
+    (y, dx, grads), (want_y, want_dx, want_grads) = got, want
+    assert_rel_close(y, want_y)
+    assert_rel_close(dx, want_dx)
+    for name, want in want_grads.items():
+        assert_rel_close(grads[name], want)
+
+
+# the shapes cover a one-row batch, one step and the charlstm benchmark
+# shape (batch 32, 100 steps, 29 characters, 128 units)
+LOOP_SHAPES = [(3, 6, 4, 5), (1, 6, 4, 5), (3, 1, 4, 5), (32, 100, 29, 128)]
 
 
 class TestEmbedding:
@@ -161,6 +290,8 @@ class TestSimpleRNN:
         layer = recurrent.SimpleRNN(4)
         layer.build((10, 3), Rng(0))
         assert layer.forward(np.zeros((2, 6, 3))).shape == (2, 4)
+        # no steps leave the zero initial state
+        npt.assert_array_equal(layer.forward(np.zeros((2, 0, 3))), np.zeros((2, 4)))
         with pytest.raises(ValueError, match="simple_rnn"):
             layer.forward(np.zeros((2, 6, 5)))
 
@@ -168,6 +299,37 @@ class TestSimpleRNN:
         layer = recurrent.SimpleRNN(800)
         layer.build((100, 57), Rng(0))
         assert layer.param_count() == 800 * 800 + 57 * 800 + 800
+
+    @pytest.mark.parametrize("shape", LOOP_SHAPES)
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_matches_loop_reference(self, shape, return_sequences):
+        b, T, n_in, units = shape
+        rng = Rng(51)
+        layer = recurrent.SimpleRNN(units, return_sequences=return_sequences)
+        layer.build((T, n_in), rng)
+        x = rng.normal((b, T, n_in))
+        up = rng.normal((b,) + layer.out_shape((T, n_in)))
+        assert_matches_loop(run_layer(layer, x, up), loop_rnn(layer, x, up))
+
+    @pytest.mark.parametrize("activation, preact", [("relu", False), ("sigmoid", True)])
+    def test_matches_loop_reference_other_paths(self, activation, preact):
+        rng = Rng(52)
+        layer = recurrent.SimpleRNN(5, activation=activation, return_sequences=True)
+        layer.build((6, 4), rng)
+        x = rng.normal((3, 6, 4))
+        up = rng.normal((3, 6, 5))
+        assert_matches_loop(
+            run_layer(layer, x, up, preact=preact), loop_rnn(layer, x, up, preact=preact)
+        )
+
+    def test_variable_length_matches_loop_reference(self):
+        rng = Rng(53)
+        layer = recurrent.SimpleRNN(5)
+        layer.build((10, 4), rng)
+        for T in (7, 3):
+            x = rng.normal((3, T, 4))
+            up = rng.normal((3, 5))
+            assert_matches_loop(run_layer(layer, x, up), loop_rnn(layer, x, up))
 
 
 class TestLSTM:
@@ -240,6 +402,8 @@ class TestLSTM:
         layer = recurrent.LSTM(4)
         layer.build((10, 3), Rng(0))
         assert layer.forward(np.zeros((2, 7, 3))).shape == (2, 4)
+        # no steps leave the zero initial state
+        npt.assert_array_equal(layer.forward(np.zeros((2, 0, 3))), np.zeros((2, 4)))
         with pytest.raises(ValueError, match="lstm"):
             layer.forward(np.zeros((2, 7, 4)))
 
@@ -247,6 +411,58 @@ class TestLSTM:
         layer = recurrent.LSTM(128)
         layer.build((100, 100), Rng(0))
         assert layer.param_count() == 4 * (128 * 128 + 100 * 128 + 128)
+
+    @pytest.mark.parametrize("shape", LOOP_SHAPES)
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_matches_loop_reference(self, shape, return_sequences):
+        b, T, n_in, units = shape
+        rng = Rng(61)
+        layer = recurrent.LSTM(units, return_sequences=return_sequences)
+        layer.build((T, n_in), rng)
+        for g in layer.GATES:
+            # nonzero biases, distinct per gate, so a gate mix-up shows
+            layer.params["b" + g][:] = rng.normal((units,), std=0.5)
+        x = rng.normal((b, T, n_in))
+        up = rng.normal((b,) + layer.out_shape((T, n_in)))
+        assert_matches_loop(run_layer(layer, x, up), loop_lstm(layer, x, up))
+
+    def test_variable_length_matches_loop_reference(self):
+        rng = Rng(62)
+        layer = recurrent.LSTM(5, return_sequences=True)
+        layer.build((10, 4), rng)
+        for T in (7, 3):
+            x = rng.normal((3, T, 4))
+            up = rng.normal((3, T, 5))
+            assert_matches_loop(run_layer(layer, x, up), loop_lstm(layer, x, up))
+
+    def test_loop_reference_bound_catches_small_gradient_error(self):
+        rng = Rng(63)
+        layer = recurrent.LSTM(5, return_sequences=True)
+        layer.build((6, 4), rng)
+        x = rng.normal((3, 6, 4))
+        up = rng.normal((3, 6, 5))
+        got, want = run_layer(layer, x, up), loop_lstm(layer, x, up)
+        assert_matches_loop(got, want)
+        got[2]["Wf"][0, 0] += 1e-11 * np.max(np.abs(want[2]["Wf"]))
+        with pytest.raises(AssertionError):
+            assert_matches_loop(got, want)
+
+
+@pytest.mark.parametrize(
+    "layer", [recurrent.LSTM(3), recurrent.SimpleRNN(3)], ids=["lstm", "simple_rnn"]
+)
+def test_backward_consumes_forward_cache(layer):
+    layer.build((4, 2), Rng(0))
+    x = Rng(1).normal((2, 4, 2))
+    up = Rng(2).normal((2, 3))
+    with pytest.raises(ValueError, match=layer.kind):
+        layer.backward(up)
+    layer.forward(x)
+    first = layer.backward(up).copy()
+    with pytest.raises(ValueError, match=layer.kind):
+        layer.backward(up)
+    layer.forward(x)
+    npt.assert_array_equal(layer.backward(up), first)
 
 
 class TestTimeDistributedDense:
