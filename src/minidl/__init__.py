@@ -30,15 +30,12 @@ from .losses import (
     MeanSquaredError,
     SoftmaxCrossEntropy,
 )
-from .metrics import ConfusionMatrix, binary_accuracy, categorical_accuracy
+from .metrics import binary_accuracy, categorical_accuracy
 from .model import (
-    Checkpoint,
-    EarlyStopping,
     History,
     ModelFileError,
     NanLossError,
     SequentialModel,
-    kfold_indices,
     load_model,
     train_val_test_split,
 )
@@ -66,12 +63,9 @@ __all__ = [
     "BatchNorm",
     "BinaryCrossEntropy",
     "CharVocab",
-    "Checkpoint",
-    "ConfusionMatrix",
     "Conv2D",
     "Dense",
     "Dropout",
-    "EarlyStopping",
     "Embedding",
     "Flatten",
     "GanTrainer",
@@ -105,7 +99,6 @@ __all__ = [
     "default_image_gan",
     "gd_scalar",
     "generate_greedy",
-    "kfold_indices",
     "leaky_relu",
     "linear",
     "load_csv",

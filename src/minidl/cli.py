@@ -261,7 +261,7 @@ def _char_task(args, val_split):
     layers.append(TimeDistributedDense(n_vocab, activation="softmax"))
     return (
         layers, (seq_length, n_vocab), "categorical_crossentropy",
-        X, Y, {"validation_split": val_split}, (X, Y), "",
+        X, Y, {"validation_split": val_split}, None, "",
     )
 
 
@@ -296,15 +296,17 @@ def _sentiment_task(args, val_split):
     ]
     return (
         layers, (X.shape[1],), "binary_crossentropy",
-        X, Y, {"validation_split": val_split}, (X, Y), "",
+        X, Y, {"validation_split": val_split}, None, "",
     )
 
 
 # Per task: default batch size, optimizer and validation fraction, and
 # the function that loads and prepares the data. It returns what
 # differs between tasks: (layers, per-sample input shape, loss, X, Y,
-# fit keywords choosing the validation rows, evaluation set, prefix of
-# the final metric keys); cmd_train compiles, fits and evaluates.
+# fit keywords choosing the validation rows, test set or None, prefix
+# of the final metric keys); cmd_train compiles, fits and evaluates.
+# Without a test set the final metrics come from the rows fit held
+# out, or from the training rows when it held none out.
 _TASKS = {
     "mlp-tabular": (32, "sgd", 0.0, _tabular_task),
     "cnn-image": (32, "adam", 0.1, _cnn_task),
@@ -343,6 +345,15 @@ def cmd_train(args):
         verbose=args.verbose,
         **fit_kwargs,
     )
+    if eval_set is not None:
+        final_rows = "test"
+    elif val_split > 0.0:
+        final_rows = "held_out"
+        held = X.shape[0] - int(X.shape[0] * val_split)
+        eval_set = (X[held:], Y[held:])
+    else:
+        final_rows = "training"
+        eval_set = (X, Y)
     scores = model.evaluate(*eval_set, batch_size=batch_size)
     final = {key_prefix + k: v for k, v in scores.items()}
 
@@ -379,6 +390,7 @@ def cmd_train(args):
             "optimizer_config": optimizer.config(),
             "val_split": val_split,
             "final": final,
+            "final_rows": final_rows,
         },
     )
     return 0

@@ -173,9 +173,6 @@ class MinMaxScaler:
             out[:, self.constant_columns] = 0.0
         return out
 
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
-
 
 def normalize_pixels(x, mode="unit"):
     """Rescale 0..255 pixel values: "unit" maps to [0, 1] by dividing by

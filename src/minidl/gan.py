@@ -27,7 +27,7 @@ import numpy as np
 
 from .layers import Dense, Dropout
 from .losses import BinaryCrossEntropy
-from .model import SequentialModel
+from .model import SequentialModel, _check_batch_size
 from .optim import Adam
 from .tensor import Rng
 
@@ -56,6 +56,7 @@ class GanTrainer:
         self.g_optimizer = g_optimizer
         self.smoothing = float(smoothing)
         self.batch_size = int(batch_size)
+        _check_batch_size(self.batch_size)
         self.rng = Rng(seed)
         self._loss = BinaryCrossEntropy()
 
@@ -72,11 +73,7 @@ class GanTrainer:
         x = np.concatenate([real_batch, fakes], axis=0)
         y = np.zeros((2 * b, 1))
         y[:b] = self.smoothing
-        out = self.discriminator.forward(x, train=True)
-        value = self._loss.value(out, y)
-        grad = self._loss.grad(out, y)
-        self.discriminator.backward(grad, preact=True)
-        self.discriminator.apply_gradients(self.d_optimizer)
+        value, _ = self.discriminator._train_step(x, y, self._loss, self.d_optimizer)
         return value
 
     def generator_step(self, rng=None):

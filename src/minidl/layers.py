@@ -88,13 +88,11 @@ class Layer:
         self.params = {}
         self.grads = {}
         self.state = {}  # saved but not optimized (running stats)
-        self.built = False
         self.trainable = True
 
     def build(self, input_shape, rng):
         """Create parameters for the given per-sample input shape."""
         self.input_shape = tuple(input_shape)
-        self.built = True
 
     def out_shape(self, input_shape):
         return tuple(input_shape)

@@ -1,9 +1,5 @@
-"""Binary and multiclass evaluation metrics.
-
-Ratios with an empty denominator (for example precision with no
-positive predictions) come back as 0.0 rather than NaN, and the
-confusion matrix can report which rates were undefined so callers can
-tell a genuine zero from a degenerate one.
+"""Accuracy metrics that ``SequentialModel`` averages over batches:
+binary (elementwise, thresholded) and categorical (row argmax).
 """
 
 from __future__ import annotations
@@ -11,85 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 THRESHOLD = 0.5
-
-
-def _safe_div(num, den):
-    if den == 0:
-        return 0.0, False
-    return num / den, True
-
-
-class ConfusionMatrix:
-    """2x2 confusion counts for a binary problem."""
-
-    def __init__(self, tp=0, fp=0, fn=0, tn=0):
-        self.tp = int(tp)
-        self.fp = int(fp)
-        self.fn = int(fn)
-        self.tn = int(tn)
-
-    @classmethod
-    def from_predictions(cls, pred, target, threshold=THRESHOLD):
-        """Build counts from probabilities and 0/1 targets. A prediction
-        at or above the threshold counts as the positive class."""
-        pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-        target = np.asarray(target, dtype=np.float64).reshape(-1)
-        if pred.shape != target.shape:
-            raise ValueError(
-                "prediction and target lengths differ: %d vs %d"
-                % (pred.size, target.size)
-            )
-        hard = pred >= threshold
-        truth = target >= threshold
-        return cls(
-            tp=int(np.sum(hard & truth)),
-            fp=int(np.sum(hard & ~truth)),
-            fn=int(np.sum(~hard & truth)),
-            tn=int(np.sum(~hard & ~truth)),
-        )
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
-    def accuracy(self):
-        value, _ = _safe_div(self.tp + self.tn, self.total)
-        return value
-
-    def precision(self):
-        value, _ = _safe_div(self.tp, self.tp + self.fp)
-        return value
-
-    def recall(self):
-        value, _ = _safe_div(self.tp, self.tp + self.fn)
-        return value
-
-    def f1(self):
-        p = self.precision()
-        r = self.recall()
-        value, _ = _safe_div(2.0 * p * r, p + r)
-        return value
-
-    def defined(self, metric):
-        """Whether the named rate had a nonzero denominator."""
-        dens = {
-            "accuracy": self.total,
-            "precision": self.tp + self.fp,
-            "recall": self.tp + self.fn,
-            "f1": (self.precision() + self.recall()),
-        }
-        try:
-            return dens[metric] != 0
-        except KeyError:
-            raise ValueError("unknown metric %r" % (metric,)) from None
-
-    def __repr__(self):
-        return "ConfusionMatrix(tp=%d, fp=%d, fn=%d, tn=%d)" % (
-            self.tp,
-            self.fp,
-            self.fn,
-            self.tn,
-        )
 
 
 def binary_accuracy(pred, target, threshold=THRESHOLD):

@@ -68,7 +68,6 @@ class History:
 
     def __init__(self, metric_names, has_validation):
         self.metric_names = list(metric_names)
-        self.has_validation = bool(has_validation)
         self.epochs = []
         cols = ["loss"] + self.metric_names
         if has_validation:
@@ -91,80 +90,6 @@ class History:
             w.writerow(["epoch"] + list(self.history))
             for i, e in enumerate(self.epochs):
                 w.writerow([e] + [repr(col[i]) for col in self.history.values()])
-
-
-class Callback:
-    def on_epoch_end(self, epoch, logs, model):
-        pass
-
-
-class EarlyStopping(Callback):
-    """Stop after ``patience`` consecutive epochs whose monitored loss
-    fails to improve on the best seen by more than ``min_delta``.
-    ``restore_best`` puts the best epoch's weights back on stop."""
-
-    def __init__(self, monitor="val_loss", min_delta=0.0, patience=1, restore_best=False):
-        if monitor not in ("loss", "val_loss"):
-            raise ValueError("early stopping monitors loss or val_loss, got %r" % (monitor,))
-        self.monitor = monitor
-        self.min_delta = float(min_delta)
-        self.patience = int(patience)
-        self.restore_best = bool(restore_best)
-        self.best = None
-        self.wait = 0
-        self.stop_training = False
-        self.stopped_epoch = None
-        self._snapshot = None
-
-    def on_epoch_end(self, epoch, logs, model):
-        if self.monitor not in logs:
-            raise ValueError(
-                "early stopping monitor %r is not tracked; available: %s"
-                % (self.monitor, sorted(logs))
-            )
-        value = logs[self.monitor]
-        if self.best is None or value < self.best - self.min_delta:
-            self.best = value
-            self.wait = 0
-            if self.restore_best:
-                self._snapshot = model.copy_weights()
-        else:
-            self.wait += 1
-            if self.wait >= self.patience:
-                self.stop_training = True
-                self.stopped_epoch = epoch
-                if self.restore_best and self._snapshot is not None:
-                    model.set_weights(self._snapshot)
-
-
-class Checkpoint(Callback):
-    """Write the model to ``pattern`` at each epoch end. The pattern is
-    a str.format template over epoch and the epoch's logs, for example
-    ``"ckpt-{epoch:03d}-{loss:.4f}.gbk"``. An existing file at the
-    formatted path is overwritten. With ``save_best_only`` only epochs
-    improving the monitored value are written."""
-
-    def __init__(self, pattern, monitor="val_loss", save_best_only=False):
-        self.pattern = pattern
-        self.monitor = monitor
-        self.save_best_only = bool(save_best_only)
-        self.best = None
-        self.saved_paths = []
-
-    def on_epoch_end(self, epoch, logs, model):
-        if self.save_best_only:
-            if self.monitor not in logs:
-                raise ValueError(
-                    "checkpoint monitor %r is not tracked; available: %s"
-                    % (self.monitor, sorted(logs))
-                )
-            value = logs[self.monitor]
-            if self.best is not None and value >= self.best:
-                return
-            self.best = value
-        path = self.pattern.format(epoch=epoch, **logs)
-        model.save(path)
-        self.saved_paths.append(path)
 
 
 class SequentialModel:
@@ -254,10 +179,10 @@ class SequentialModel:
                 )
         return g
 
-    def named_params(self, trainable_only=True):
+    def named_params(self):
         out = {}
         for i, layer in enumerate(self.layers):
-            if trainable_only and not layer.trainable:
+            if not layer.trainable:
                 continue
             for k, v in layer.params.items():
                 out["layer%d/%s" % (i, k)] = v
@@ -272,8 +197,8 @@ class SequentialModel:
                 out["layer%d/%s" % (i, k)] = v
         return out
 
-    def _loss_input(self, out):
-        if self.loss.fused == "softmax":
+    def _loss_input(self, out, loss):
+        if loss.fused == "softmax":
             return self.layers[-1].preactivation
         return out
 
@@ -281,12 +206,17 @@ class SequentialModel:
         """One optimizer step on one batch. Returns (loss value, batch
         output) so callers can fold in metrics without a second pass."""
         self._require_compiled()
+        return self._train_step(x, y, self.loss, self.optimizer)
+
+    def _train_step(self, x, y, loss, optimizer):
+        """Forward in train mode, ``loss`` and its gradient, backward,
+        and one ``optimizer`` step; returns (loss value, batch output)."""
         out = self.forward(x, train=True)
-        loss_in = self._loss_input(out)
-        value = self.loss.value(loss_in, y)
-        grad = self.loss.grad(loss_in, y)
-        self.backward(grad, preact=self.loss.fused is not None)
-        self.apply_gradients(self.optimizer)
+        loss_in = self._loss_input(out, loss)
+        value = loss.value(loss_in, y)
+        grad = loss.grad(loss_in, y)
+        self.backward(grad, preact=loss.fused is not None)
+        self.apply_gradients(optimizer)
         return value, out
 
     def apply_gradients(self, optimizer):
@@ -306,18 +236,18 @@ class SequentialModel:
         batch_size=32,
         validation_split=0.0,
         validation_data=None,
-        callbacks=(),
         verbose=False,
     ):
-        """Train for ``epochs`` passes.
+        """Train for ``epochs`` passes and return the ``History``.
 
         When ``validation_split`` is given the last fraction of the rows
         (in the order supplied, before any shuffling) is held out once
         and reused every epoch. Training rows are reshuffled each epoch
         from the model's seeded generator. Epoch numbers in the history
-        and callback logs are 1-based.
+        are 1-based.
         """
         self._require_compiled()
+        _check_batch_size(batch_size)
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         if X.shape[0] != Y.shape[0]:
@@ -346,33 +276,20 @@ class SequentialModel:
             )
         if Xv is not None and Xv.shape[0] == 0:
             raise ValueError("validation split is empty")
-        metric_names = [m for m, _ in self._metrics]
-        history = History(metric_names, has_validation=Xv is not None)
-        n = Xt.shape[0]
-        callbacks = list(callbacks)
+        history = History([m for m, _ in self._metrics], has_validation=Xv is not None)
+
+        def step(bi, x, y):
+            value, out = self.train_on_batch(x, y)
+            if not np.isfinite(value):
+                raise NanLossError(epoch, bi)
+            return value, out
+
         for epoch in range(1, epochs + 1):
-            order = self.rng.permutation(n)
-            total = 0.0
-            msums = [0.0] * len(self._metrics)
-            seen = 0
-            for bi, lo in enumerate(range(0, n, batch_size)):
-                idx = order[lo : lo + batch_size]
-                value, out = self.train_on_batch(Xt[idx], Yt[idx])
-                if not np.isfinite(value):
-                    raise NanLossError(epoch, bi)
-                rows = len(idx)
-                total += value * rows
-                for j, (_, fn) in enumerate(self._metrics):
-                    msums[j] += fn(out, Yt[idx]) * rows
-                seen += rows
-            logs = {"loss": total / seen}
-            for j, name in enumerate(metric_names):
-                logs[name] = msums[j] / seen
+            order = self.rng.permutation(Xt.shape[0])
+            logs = self._run_batches(Xt, Yt, order, batch_size, step)
             if Xv is not None:
                 ev = self.evaluate(Xv, Yv, batch_size=batch_size)
-                logs["val_loss"] = ev["loss"]
-                for name in metric_names:
-                    logs["val_" + name] = ev[name]
+                logs.update(("val_" + k, v) for k, v in ev.items())
             history.append(epoch, logs)
             if verbose:
                 print(
@@ -383,39 +300,53 @@ class SequentialModel:
                         "  ".join("%s=%.6f" % (k, logs[k]) for k in sorted(logs)),
                     )
                 )
-            stop = False
-            for cb in callbacks:
-                cb.on_epoch_end(epoch, logs, self)
-                stop = stop or getattr(cb, "stop_training", False)
-            if stop:
-                break
         return history
 
     def evaluate(self, X, Y, batch_size=32):
         """Loss and metrics in inference mode, averaged over rows."""
         self._require_compiled()
+        _check_batch_size(batch_size)
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
-        n = X.shape[0]
-        if n == 0:
+        if X.shape[0] == 0:
             raise ValueError("evaluation set is empty: no rows to average over")
+
+        def step(bi, x, y):
+            out = self.forward(x, train=False)
+            return self.loss.value(self._loss_input(out, self.loss), y), out
+
+        return self._run_batches(X, Y, None, batch_size, step)
+
+    def _run_batches(self, X, Y, order, batch_size, step):
+        """Call ``step(batch index, x, y) -> (loss, output)`` on each batch
+        of rows, taken in ``order`` (an index permutation) or, when it is
+        None, in stored order. Returns the loss and every metric averaged
+        over rows, each batch weighted by its row count."""
+        n = X.shape[0]
         total = 0.0
         msums = [0.0] * len(self._metrics)
-        for lo in range(0, n, batch_size):
-            xb = X[lo : lo + batch_size]
-            yb = Y[lo : lo + batch_size]
-            out = self.forward(xb, train=False)
-            total += self.loss.value(self._loss_input(out), yb) * xb.shape[0]
+        for bi, lo in enumerate(range(0, n, batch_size)):
+            rows = slice(lo, lo + batch_size)
+            if order is not None:
+                rows = order[rows]
+            # only the targets outlive the step: holding the input batch
+            # too raised charlstm's peak RSS by about 4 MB (heap layout)
+            yb = Y[rows]
+            value, out = step(bi, X[rows], yb)
+            total += value * yb.shape[0]
             for j, (_, fn) in enumerate(self._metrics):
-                msums[j] += fn(out, yb) * xb.shape[0]
-        result = {"loss": total / n}
+                msums[j] += fn(out, yb) * yb.shape[0]
+        logs = {"loss": total / n}
         for j, (name, _) in enumerate(self._metrics):
-            result[name] = msums[j] / n
-        return result
+            logs[name] = msums[j] / n
+        return logs
 
     def predict(self, X, batch_size=256):
         self._require_compiled()
+        _check_batch_size(batch_size)
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[0] == 0:
+            return np.zeros((0,) + self.output_shape)
         parts = []
         for lo in range(0, X.shape[0], batch_size):
             parts.append(self.forward(X[lo : lo + batch_size], train=False))
@@ -445,26 +376,6 @@ class SequentialModel:
     def _require_compiled(self):
         if not self.compiled:
             raise RuntimeError("model is not compiled; call compile() first")
-
-    # -- weight snapshots ---------------------------------------------------
-
-    def copy_weights(self):
-        snap = []
-        for layer in self.layers:
-            snap.append(
-                (
-                    {k: v.copy() for k, v in layer.params.items()},
-                    {k: v.copy() for k, v in layer.state.items()},
-                )
-            )
-        return snap
-
-    def set_weights(self, snapshot):
-        for layer, (params, state) in zip(self.layers, snapshot):
-            for k, v in params.items():
-                layer.params[k][...] = v
-            for k, v in state.items():
-                layer.state[k][...] = v
 
     # -- persistence ---------------------------------------------------------
 
@@ -509,35 +420,6 @@ class SequentialModel:
             f.write(payload)
             f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
-    def load_weights(self, path):
-        """Load weights from a saved file into this (already compiled)
-        model. The stored architecture must match layer for layer."""
-        self._require_compiled()
-        manifest, arrays = _read_model_file(path)
-        stored = manifest["layers"]
-        if len(stored) != len(self.layers):
-            raise ModelFileError(
-                "stored model has %d layers, this model has %d"
-                % (len(stored), len(self.layers))
-            )
-        for i, (entry, layer) in enumerate(zip(stored, self.layers)):
-            if entry["kind"] != layer.kind:
-                raise ModelFileError(
-                    "architecture mismatch at layer %d: file has %s, model has %s"
-                    % (i, entry["kind"], layer.kind)
-                )
-            if entry["hyper"] != layer.hyper():
-                raise ModelFileError(
-                    "architecture mismatch at layer %d (%s): file hyperparameters %s, "
-                    "model has %s" % (i, layer.kind, entry["hyper"], layer.hyper())
-                )
-        if tuple(manifest["input_shape"]) != tuple(self.input_shape):
-            raise ModelFileError(
-                "stored input shape %s does not match model input shape %s"
-                % (tuple(manifest["input_shape"]), tuple(self.input_shape))
-            )
-        self._apply_arrays(arrays)
-
     def _apply_arrays(self, arrays):
         for i, layer in enumerate(self.layers):
             for k in layer.params:
@@ -555,6 +437,11 @@ class SequentialModel:
                 name = "layer%d/state/%s" % (i, k)
                 if name in arrays:
                     layer.state[k][...] = arrays[name]
+
+
+def _check_batch_size(batch_size):
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1, got %r" % (batch_size,))
 
 
 def load_model(path, seed=0):
@@ -685,18 +572,3 @@ def train_val_test_split(X, Y, test_fraction, rng):
     tr, va, te = perm[:cut], perm[cut : cut + half], perm[cut + half :]
     return X[tr], Y[tr], X[va], Y[va], X[te], Y[te]
 
-
-def kfold_indices(n, k, rng):
-    """Seeded k-fold split of range(n): a list of (train_idx, test_idx)
-    pairs where every index lands in exactly one test fold and fold
-    sizes differ by at most one."""
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n, got k=%d, n=%d" % (k, n))
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
-    out = []
-    for i in range(k):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        out.append((train, test))
-    return out

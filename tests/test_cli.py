@@ -206,6 +206,7 @@ class TestTrainCnn:
         with open(os.path.join(out, "run.json")) as f:
             manifest = json.load(f)
         assert manifest["config"]["optimizer_resolved"] == "adam"
+        assert manifest["config"]["final_rows"] == "test"
 
     def test_rejects_three_paths(self, tmp_path, digit_idx_paths):
         with pytest.raises(SystemExit, match="IDX paths"):
@@ -337,6 +338,25 @@ class TestTrainChar:
         )
         assert rc == 0
         assert np.isfinite(final_metrics(capsys.readouterr().out)["loss"])
+
+    def test_val_split_final_metrics_cover_held_out_rows(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(CORPUS)
+        out = str(tmp_path / "run")
+        rc = cli.main(
+            ["train", "--task", "charlstm", "--data", str(corpus), "--epochs", "2",
+             "--seq-length", "20", "--units", "8", "--layers", "1",
+             "--batch-size", "8", "--val-split", "0.5", "--out", out]
+        )
+        assert rc == 0
+        with open(os.path.join(out, "run.json")) as f:
+            config = json.load(f)["config"]
+        with open(os.path.join(out, "history.csv")) as f:
+            header = f.readline().strip().split(",")
+            last = f.read().strip().splitlines()[-1].split(",")
+        assert config["final_rows"] == "held_out"
+        assert config["final"]["loss"] == float(last[header.index("val_loss")])
+        assert config["final"]["accuracy"] == float(last[header.index("val_accuracy")])
 
     def test_artifacts(self, char_run, capsys):
         out = char_run

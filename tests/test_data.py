@@ -105,7 +105,7 @@ class TestIdx:
 class TestMinMaxScaler:
     def test_maps_to_unit_interval(self):
         X = np.array([[1.0, 10.0], [3.0, 30.0], [2.0, 20.0]])
-        out = data.MinMaxScaler().fit_transform(X)
+        out = data.MinMaxScaler().fit(X).transform(X)
         npt.assert_allclose(out, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
 
     def test_constant_column_flagged_and_zeroed(self):

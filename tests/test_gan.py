@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sigmoid"):
             GanTrainer(gen, disc, 2, SGD(0.1), SGD(0.1))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be at least 1, got %d" % batch_size):
+            GanTrainer(tiny_generator(), tiny_discriminator(), 2, SGD(0.1), SGD(0.1),
+                       batch_size=batch_size)
+
 
 class TestDiscriminatorStep:
     def test_real_rows_stack_above_fakes_in_train_mode(self):

@@ -2,62 +2,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minidl.metrics import (
-    ConfusionMatrix,
-    binary_accuracy,
-    categorical_accuracy,
-)
-
-
-def test_confusion_counts_from_predictions():
-    pred = np.array([0.9, 0.8, 0.3, 0.1, 0.6, 0.4])
-    target = np.array([1, 0, 1, 0, 1, 0])
-    cm = ConfusionMatrix.from_predictions(pred, target)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 2)
-    assert cm.total == 6
-
-
-def test_threshold_is_inclusive_at_half():
-    cm = ConfusionMatrix.from_predictions(np.array([0.5]), np.array([1.0]))
-    assert cm.tp == 1
-
-
-def test_rates_manual():
-    # Manually calculated from tp=6, fp=2, fn=3, tn=9
-    cm = ConfusionMatrix(tp=6, fp=2, fn=3, tn=9)
-    assert cm.accuracy() == 15 / 20
-    assert cm.precision() == 6 / 8
-    assert cm.recall() == 6 / 9
-    p, r = 6 / 8, 6 / 9
-    npt.assert_allclose(cm.f1(), 2 * p * r / (p + r))
-
-
-def test_zero_denominators_give_zero_not_nan():
-    cm = ConfusionMatrix(tp=0, fp=0, fn=0, tn=5)
-    assert cm.precision() == 0.0
-    assert cm.recall() == 0.0
-    assert cm.f1() == 0.0
-    assert not np.isnan(cm.f1())
-    assert cm.defined("accuracy")
-    assert not cm.defined("precision")
-    assert not cm.defined("recall")
-    assert not cm.defined("f1")
-    with pytest.raises(ValueError):
-        cm.defined("specificity")
-
-
-def test_perfect_and_empty():
-    cm = ConfusionMatrix(tp=3, fp=0, fn=0, tn=7)
-    assert cm.accuracy() == 1.0 and cm.f1() == 1.0
-    empty = ConfusionMatrix()
-    assert empty.accuracy() == 0.0
-    assert not empty.defined("accuracy")
+from minidl.metrics import binary_accuracy, categorical_accuracy
 
 
 def test_binary_accuracy_elementwise():
     pred = np.array([[0.9, 0.2], [0.4, 0.7]])
     target = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert binary_accuracy(pred, target) == 0.5
+
+
+def test_threshold_is_inclusive_at_half():
+    assert binary_accuracy(np.array([0.5]), np.array([1.0])) == 1.0
 
 
 def test_binary_accuracy_shape_check():
