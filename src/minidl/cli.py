@@ -483,6 +483,13 @@ def cmd_gan(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _epoch_count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="minidl",
@@ -514,7 +521,7 @@ def build_parser():
         required=True,
     )
     p.add_argument("--data", nargs="+", required=True, help="task data paths")
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_epoch_count, required=True)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--optimizer", default=None, help="sgd, momentum, adam, ...")
     p.add_argument("--lr", type=float, default=None)
@@ -545,7 +552,7 @@ def build_parser():
 
     p = sub.add_parser("gan", help="adversarial training on IDX images")
     p.add_argument("--data", nargs=2, required=True, metavar=("IMAGES", "LABELS"))
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_epoch_count, required=True)
     p.add_argument("--latent-dim", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--sample-every", type=int, default=20)

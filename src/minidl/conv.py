@@ -206,14 +206,11 @@ class Conv2D(Layer):
         placed = grid[lead:]
         placed.reshape(b, hp, wp, self.filters)[:, : oh * sh : sh, : ow * sw : sw] = delta
         valid = placed[: n - lead]
-        dW = np.empty(W.shape)
+        dW = self.grads["W"].reshape(kh, kw * cin, self.filters)
         for ki in range(kh):
             lo = ki * dh * wp
-            dW[ki] = (lowered[lo : lo + n - lead].T @ valid).reshape(kw, cin, self.filters)
-        self.grads = {
-            "W": dW,
-            "b": np.sum(delta.reshape(-1, self.filters), axis=0),
-        }
+            np.matmul(lowered[lo : lo + n - lead].T, valid, out=dW[ki])
+        np.sum(delta.reshape(-1, self.filters), axis=0, out=self.grads["b"])
         flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
         dxp, _ = _correlate(grid, wp, flipped, self.dilation)
         h = hp - pt - pb

@@ -3,8 +3,13 @@
 Each layer caches what its own backward pass needs during forward, so
 training code is just forward, loss gradient, backward, optimizer step.
 ``backward`` takes the upstream gradient and returns the gradient with
-respect to the layer input; parameter gradients land in ``self.grads``
-keyed like ``self.params``.
+respect to the layer input. ``build`` gives each trainable parameter a
+gradient array of its shape in ``self.grads``, keyed like
+``self.params``, and ``backward`` writes into those arrays (``out=`` or
+``[...] =``), never replacing them: once a model is compiled, both
+dicts hold views into the model's flat parameter and gradient vectors.
+A parameter is likewise changed by writing into it, never by rebinding
+its entry.
 
 The ``preact`` flag on ``backward`` exists for losses fused with the
 output activation: when True the layer treats the incoming gradient as
@@ -91,8 +96,13 @@ class Layer:
         self.trainable = True
 
     def build(self, input_shape, rng):
-        """Create parameters for the given per-sample input shape."""
+        """Record the per-sample input shape and give each trainable
+        parameter a gradient array of its shape. Subclasses create
+        ``self.params`` first, then call this."""
         self.input_shape = tuple(input_shape)
+        self.grads = (
+            {k: np.zeros_like(p) for k, p in self.params.items()} if self.trainable else {}
+        )
 
     def out_shape(self, input_shape):
         return tuple(input_shape)
@@ -159,10 +169,8 @@ class Dense(Layer):
             delta = upstream
         else:
             delta = upstream * self.activation.deriv(self._pre, self._out)
-        self.grads = {
-            "W": self._x.T @ delta,
-            "b": np.sum(delta, axis=0),
-        }
+        np.matmul(self._x.T, delta, out=self.grads["W"])
+        np.sum(delta, axis=0, out=self.grads["b"])
         return delta @ self.params["W"].T
 
     @property
@@ -219,7 +227,8 @@ class BatchNorm(Layer):
     Training uses batch mean and (biased) variance and folds them into
     running statistics with the given momentum; inference uses the
     running statistics. A training batch of one row has no variance to
-    speak of and is rejected.
+    speak of: it is normalized with the running statistics, which it
+    leaves unchanged, and backpropagated as in inference.
     """
 
     kind = "batchnorm"
@@ -242,11 +251,9 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
+        # a one-row batch has no variance: normalize it as in inference
+        train = train and x.shape[0] > 1
         if train:
-            if x.shape[0] < 2:
-                raise ValueError(
-                    "batchnorm cannot train on a batch of %d row" % x.shape[0]
-                )
             mu = np.mean(x, axis=0)
             var = np.var(x, axis=0)
             m = self.momentum
@@ -262,10 +269,8 @@ class BatchNorm(Layer):
 
     def backward(self, upstream, preact=False):
         xhat = self._xhat
-        self.grads = {
-            "gamma": np.sum(upstream * xhat, axis=0),
-            "beta": np.sum(upstream, axis=0),
-        }
+        np.sum(upstream * xhat, axis=0, out=self.grads["gamma"])
+        np.sum(upstream, axis=0, out=self.grads["beta"])
         dxhat = upstream * self.params["gamma"]
         if self._train_batch is None:
             # inference-mode backward (frozen statistics) is a plain

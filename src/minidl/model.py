@@ -2,9 +2,11 @@
 
 Training is plain minibatch gradient descent: forward in train mode,
 loss gradient, backward, one optimizer step over every trainable
-parameter. Losses fused with the output activation (softmax or sigmoid
-cross entropy) start backpropagation at the final preactivation; the
-model handles the bookkeeping so layers stay oblivious.
+parameter. ``compile`` keeps those parameters in one flat vector and
+their gradients in a second, so the step is one pass over each. Losses
+fused with the output activation (softmax or sigmoid cross entropy)
+start backpropagation at the final preactivation; the model handles
+the bookkeeping so layers stay oblivious.
 
 The on-disk model format is a single little-endian binary file:
 magic ``GBK1``, a u16 format version, a u32-length JSON manifest
@@ -128,6 +130,7 @@ class SequentialModel:
                 raise ValueError("layer %d (%s): %s" % (i, layer.kind, e)) from None
             shape = tuple(int(d) for d in out)
         self.output_shape = shape
+        self._flatten()
         self.loss = losses_mod.get(loss)
         self.optimizer = optim_mod.get(optimizer) if isinstance(optimizer, str) else optimizer
         if self.loss.fused is not None:
@@ -144,6 +147,26 @@ class SequentialModel:
         self._metrics = [(m, self._resolve_metric(m)) for m in metrics]
         self.compiled = True
         return self
+
+    def _flatten(self):
+        """Move the trainable parameters into one vector, ``flat_params``,
+        with their gradients in a second, ``flat_grads``, both in
+        ``named_params`` order: every ``params`` and ``grads`` entry of a
+        trainable layer becomes a view of its slice."""
+        entries = [(layer, k) for layer in self.layers if layer.trainable
+                   for k in layer.params]
+        total = sum(layer.params[k].size for layer, k in entries)
+        self.flat_params = np.empty(total)
+        self.flat_grads = np.zeros(total)
+        lo = 0
+        for layer, k in entries:
+            shape = layer.params[k].shape
+            hi = lo + layer.params[k].size
+            view = self.flat_params[lo:hi].reshape(shape)
+            view[...] = layer.params[k]
+            layer.params[k] = view
+            layer.grads[k] = self.flat_grads[lo:hi].reshape(shape)
+            lo = hi
 
     def _resolve_metric(self, name):
         if name in ("accuracy", "acc"):
@@ -220,11 +243,10 @@ class SequentialModel:
         return value, out
 
     def apply_gradients(self, optimizer):
-        """Step ``optimizer`` over every trainable parameter, using the
-        gradients the last ``backward`` left in each layer."""
-        grads = self.named_grads()
-        params = {k: v for k, v in self.named_params().items() if k in grads}
-        optimizer.step(params, grads)
+        """Step ``optimizer`` once over all trainable parameters, using
+        the gradients the last ``backward`` left in each layer: the two
+        model vectors go in as one-entry dicts."""
+        optimizer.step({"model": self.flat_params}, {"model": self.flat_grads})
 
     # -- training loop -----------------------------------------------------
 

@@ -5,6 +5,17 @@ lazily as zeros on first sight of each name. ``step`` mutates the
 parameter arrays in place so every layer holding a reference sees the
 update. Epsilon terms sit inside the square roots.
 
+A compiled model steps all its trainable parameters as one entry: its
+flat parameter vector, with the flat gradient vector beside it. Each
+rule walks the flattened arrays in blocks of ``CHUNK`` values and
+writes every intermediate into one of two reused scratch buffers with
+``out=``, so a step allocates no parameter-sized temporary and each
+block's operands stay in cache while the rule runs over them. Within a
+block a rule applies the operations of its whole-array formula in the
+order Python would evaluate them (``lr * g / sqrt(G + eps)`` is
+``(lr * g) / ...``), so the results are the same bit for bit at any
+block size.
+
 Also here: ``gd_scalar``, plain one-dimensional gradient descent with a
 recorded trace.
 """
@@ -16,11 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: values per block of a blocked update: 256 KB per array, so a block of
+#: Adam's six arrays (parameter, gradient, two slots, two scratch
+#: buffers) takes 1.5 MB and stays in a 2 MB per-core L2 cache. 16k to
+#: 64k measured alike on a 2-core Xeon.
+CHUNK = 32768
+
+
 class Optimizer:
     name = "optimizer"
 
     def __init__(self):
         self._state = {}
+        self._scratch = np.empty((2, CHUNK))
 
     def _slot(self, key, like):
         if key not in self._state:
@@ -37,7 +56,19 @@ class Optimizer:
                     "gradient shape %s does not match parameter %r of shape %s"
                     % (g.shape, name, p.shape)
                 )
-            self._update(name, p, g)
+            # a view for a C-contiguous parameter, as every model's is
+            flat = p.reshape(-1)
+            self._update(name, flat, g.reshape(-1))
+            if not p.flags.c_contiguous:
+                p[...] = flat.reshape(p.shape)
+
+    def _chunks(self, *arrays):
+        """Yield matching ``CHUNK``-long slices of the flat ``arrays``,
+        then two scratch buffers of the same length."""
+        for lo in range(0, arrays[0].size, CHUNK):
+            parts = [x[lo : lo + CHUNK] for x in arrays]
+            n = parts[0].size
+            yield (*parts, self._scratch[0, :n], self._scratch[1, :n])
 
     def _update(self, name, p, g):
         raise NotImplementedError
@@ -55,7 +86,9 @@ class SGD(Optimizer):
         self.lr = float(lr)
 
     def _update(self, name, p, g):
-        p -= self.lr * g
+        for p, g, a, _ in self._chunks(p, g):
+            np.multiply(self.lr, g, out=a)
+            p -= a
 
 
 class Momentum(Optimizer):
@@ -70,9 +103,10 @@ class Momentum(Optimizer):
 
     def _update(self, name, p, g):
         v = self._slot(name + "/v", p)
-        v *= self.gamma
-        v += self.lr * g
-        p -= v
+        for p, g, v, a, _ in self._chunks(p, g, v):
+            v *= self.gamma
+            v += np.multiply(self.lr, g, out=a)
+            p -= v
 
 
 class Nesterov(Optimizer):
@@ -89,9 +123,13 @@ class Nesterov(Optimizer):
 
     def _update(self, name, p, g):
         v = self._slot(name + "/v", p)
-        v *= self.gamma
-        v -= self.lr * g
-        p += self.gamma * v - self.lr * g
+        for p, g, v, a, b in self._chunks(p, g, v):
+            v *= self.gamma
+            lr_g = np.multiply(self.lr, g, out=a)
+            v -= lr_g
+            step = np.multiply(self.gamma, v, out=b)
+            step -= lr_g
+            p += step
 
 
 class Adagrad(Optimizer):
@@ -106,8 +144,12 @@ class Adagrad(Optimizer):
 
     def _update(self, name, p, g):
         acc = self._slot(name + "/G", p)
-        acc += g * g
-        p -= self.lr * g / np.sqrt(acc + self.eps)
+        for p, g, acc, a, b in self._chunks(p, g, acc):
+            acc += np.multiply(g, g, out=a)
+            root = np.sqrt(np.add(acc, self.eps, out=b), out=b)
+            step = np.multiply(self.lr, g, out=a)
+            step /= root
+            p -= step
 
 
 class Adadelta(Optimizer):
@@ -126,12 +168,19 @@ class Adadelta(Optimizer):
     def _update(self, name, p, g):
         eg = self._slot(name + "/Eg", p)
         ed = self._slot(name + "/Ed", p)
-        eg *= self.rho
-        eg += (1.0 - self.rho) * g * g
-        delta = -g * np.sqrt(ed + self.eps) / np.sqrt(eg + self.eps)
-        ed *= self.rho
-        ed += (1.0 - self.rho) * delta * delta
-        p += delta
+        for p, g, eg, ed, a, b in self._chunks(p, g, eg, ed):
+            eg *= self.rho
+            sq = np.multiply(1.0 - self.rho, g, out=a)
+            sq *= g
+            eg += sq
+            delta = np.negative(g, out=b)
+            delta *= np.sqrt(np.add(ed, self.eps, out=a), out=a)
+            delta /= np.sqrt(np.add(eg, self.eps, out=a), out=a)
+            ed *= self.rho
+            sq = np.multiply(1.0 - self.rho, delta, out=a)
+            sq *= delta
+            ed += sq
+            p += delta
 
 
 class RMSprop(Optimizer):
@@ -145,9 +194,15 @@ class RMSprop(Optimizer):
 
     def _update(self, name, p, g):
         eg = self._slot(name + "/Eg", p)
-        eg *= self.rho
-        eg += (1.0 - self.rho) * g * g
-        p -= self.lr * g / np.sqrt(eg + self.eps)
+        for p, g, eg, a, b in self._chunks(p, g, eg):
+            eg *= self.rho
+            sq = np.multiply(1.0 - self.rho, g, out=a)
+            sq *= g
+            eg += sq
+            root = np.sqrt(np.add(eg, self.eps, out=b), out=b)
+            step = np.multiply(self.lr, g, out=a)
+            step /= root
+            p -= step
 
 
 class Adam(Optimizer):
@@ -169,13 +224,22 @@ class Adam(Optimizer):
         v = self._slot(name + "/v", p)
         t = self._t.get(name, 0) + 1
         self._t[name] = t
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        p -= self.lr * m_hat / np.sqrt(v_hat + self.eps)
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        for p, g, m, v, a, b in self._chunks(p, g, m, v):
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            sq = np.multiply(1.0 - self.beta2, g, out=a)
+            sq *= g
+            v += sq
+            step = np.divide(m, c1, out=a)  # m_hat
+            step *= self.lr
+            root = np.divide(v, c2, out=b)  # v_hat
+            root += self.eps
+            np.sqrt(root, out=root)
+            step /= root
+            p -= step
 
 
 _REGISTRY = {

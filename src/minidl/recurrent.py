@@ -121,11 +121,9 @@ class Embedding(Layer):
 
     def backward(self, upstream, preact=False):
         if self.trainable:
-            dW = np.zeros_like(self.params["W"])
+            dW = self.grads["W"]
+            dW[...] = 0.0
             np.add.at(dW, self._ids.reshape(-1), upstream.reshape(-1, self.dim))
-            self.grads = {"W": dW}
-        else:
-            self.grads = {}
         return None  # ids have no gradient
 
     def hyper(self):
@@ -198,11 +196,9 @@ class SimpleRNN(_SequenceLayer):
             deltas[:, t] = delta
             carry = delta @ W.T
         d2 = deltas.reshape(b * T, self.units)
-        self.grads = {
-            "W": _previous(hs).reshape(b * T, self.units).T @ d2,
-            "U": x.reshape(b * T, n_in).T @ d2,
-            "b": d2.sum(axis=0),
-        }
+        np.matmul(_previous(hs).reshape(b * T, self.units).T, d2, out=self.grads["W"])
+        np.matmul(x.reshape(b * T, n_in).T, d2, out=self.grads["U"])
+        np.sum(d2, axis=0, out=self.grads["b"])
         return (d2 @ U.T).reshape(b, T, n_in)
 
     def hyper(self):
@@ -319,7 +315,8 @@ class LSTM(_SequenceLayer):
             "b": d2.sum(axis=0),
         }
         cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
-        self.grads = {key: fused[key[0]][..., cols[key[1]]].copy() for key in self.params}
+        for key, grad in self.grads.items():
+            grad[...] = fused[key[0]][..., cols[key[1]]]
         return (d2 @ U.T).reshape(b, T, n_in)
 
     def hyper(self):
@@ -352,8 +349,9 @@ class TimeDistributedDense(_SequenceLayer):
                 % (input_shape,)
             )
         self._dense.build((input_shape[1],), rng)
-        self.params = self._dense.params
         super().build(input_shape, rng)
+        # one set of arrays, the inner layer's, which its backward fills
+        self.params, self.grads = self._dense.params, self._dense.grads
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -366,7 +364,6 @@ class TimeDistributedDense(_SequenceLayer):
     def backward(self, upstream, preact=False):
         b, T, _ = upstream.shape
         dx = self._dense.backward(upstream.reshape(b * T, self.units), preact=preact)
-        self.grads = self._dense.grads
         return dx.reshape(b, T, -1)
 
     @property

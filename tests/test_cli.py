@@ -477,3 +477,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["gd"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--task", "mlp-tabular", "--data", "table.csv"],
+            ["gan", "--data", "images.idx", "labels.idx"],
+        ],
+        ids=["train", "gan"],
+    )
+    def test_epochs_below_one_rejected(self, tmp_path, capsys, argv, epochs):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--epochs", epochs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--epochs: must be at least 1, got %s" % epochs in capsys.readouterr().err
+        assert not out.exists()

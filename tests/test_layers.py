@@ -224,13 +224,35 @@ class TestBatchNorm:
         out = layer.forward(np.array([[6.0]]), train=False)
         npt.assert_allclose(out, [[1.0]])
 
-    def test_single_row_training_batch_rejected(self):
+    def test_single_row_training_batch_uses_running_statistics(self):
         layer = layers.BatchNorm()
         layer.build((3,), Rng(0))
-        with pytest.raises(ValueError, match="batch"):
-            layer.forward(np.ones((1, 3)), train=True)
-        # inference on one row is fine
-        layer.forward(np.ones((1, 3)), train=False)
+        layer.state["running_mean"][:] = [1.0, -2.0, 0.5]
+        layer.state["running_var"][:] = [4.0, 0.25, 1.0]
+        before = {k: v.copy() for k, v in layer.state.items()}
+        x = np.array([[3.0, -1.0, 2.0]])
+        out = layer.forward(x, train=True)
+        npt.assert_array_equal(out, layer.forward(x, train=False))
+        for k, v in layer.state.items():
+            npt.assert_array_equal(v, before[k])
+
+    def test_single_row_train_backward_matches_finite_differences(self):
+        layer = layers.BatchNorm()
+        layer.build((4,), Rng(0))
+        rng = Rng(12)
+        layer.state["running_mean"][:] = rng.normal((4,))
+        layer.state["running_var"][:] = rng.uniform((4,), low=0.5, high=2.0)
+        layer.params["gamma"][:] = rng.normal((4,))
+        x = rng.normal((1, 4), std=1.5)
+        up = rng.normal((1, 4))
+        want_dx = fd_input_grad(layer, x, up, train=True)
+        want_dg = fd_param_grad(layer, x, up, "gamma", train=True)
+        want_db = fd_param_grad(layer, x, up, "beta", train=True)
+        layer.forward(x, train=True)
+        dx = layer.backward(up)
+        npt.assert_allclose(dx, want_dx, atol=1e-6)
+        npt.assert_allclose(layer.grads["gamma"], want_dg, atol=1e-6)
+        npt.assert_allclose(layer.grads["beta"], want_db, atol=1e-6)
 
     def test_train_backward_matches_finite_differences(self):
         layer = layers.BatchNorm()

@@ -284,6 +284,117 @@ class TestFit:
             assert col in h.history and len(h.history[col]) == 2
             assert np.isfinite(h.history[col]).all()
 
+    def test_batchnorm_trains_through_a_one_row_final_batch(self):
+        # 33 rows at batch 32 leave one row for the last batch of each epoch
+        X, Y = toy_regression(n=33)
+        m = SequentialModel([Dense(4, activation="tanh"), BatchNorm(), Dense(1)], seed=2)
+        m.compile((3,), "mse", "sgd")
+        h = m.fit(X, Y, epochs=3, batch_size=32)
+        assert h.epochs == [1, 2, 3]
+        assert np.all(np.isfinite(h.history["loss"]))
+        # the one-row step moves the parameters but not the statistics
+        stats = {k: v.copy() for k, v in m.layers[1].state.items()}
+        before = m.flat_params.copy()
+        m.train_on_batch(X[:1], Y[:1])
+        assert np.any(m.flat_params != before)
+        for k, v in m.layers[1].state.items():
+            npt.assert_array_equal(v, stats[k])
+
+
+def assert_flat_views(m):
+    """Every trainable ``params`` and ``grads`` entry is a view of its
+    slice of the model's two vectors, laid out in ``named_params`` order."""
+    params, grads = m.named_params(), m.named_grads()
+    assert list(params) == list(grads)
+    assert m.flat_params.size == m.flat_grads.size == sum(p.size for p in params.values())
+
+    def offset(view, base):
+        return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
+    lo = 0
+    for name, p in params.items():
+        g = grads[name]
+        assert g.shape == p.shape, name
+        assert p.flags.c_contiguous and g.flags.c_contiguous, name
+        assert np.shares_memory(p, m.flat_params) and offset(p, m.flat_params) == 8 * lo, name
+        assert np.shares_memory(g, m.flat_grads) and offset(g, m.flat_grads) == 8 * lo, name
+        lo += p.size
+
+
+def flat_models():
+    return {
+        "mlp": (SequentialModel([Dense(4, activation="relu"), BatchNorm(), Dense(1)]),
+                (3,), "mse", Rng(1).normal((5, 3)), Rng(2).normal((5, 1))),
+        "conv": (SequentialModel([Conv2D(2, 3, padding="same"), Pool2D(2), Flatten(),
+                                  Dense(3, activation="softmax")]),
+                 (6, 6, 1), "categorical_crossentropy", Rng(3).normal((4, 6, 6, 1)),
+                 np.eye(3)[[0, 1, 2, 0]]),
+        "lstm": (SequentialModel([Embedding(9, 4), LSTM(3), Dense(1, activation="sigmoid")]),
+                 (5,), "binary_crossentropy", Rng(4).integers(9, 10).reshape(2, 5),
+                 np.array([[0.0], [1.0]])),
+        "rnn-tdd": (SequentialModel([SimpleRNN(3, return_sequences=True),
+                                     TimeDistributedDense(4, activation="softmax")]),
+                    (5, 2), "categorical_crossentropy", Rng(5).normal((2, 5, 2)),
+                    np.eye(4)[Rng(6).integers(4, 10)].reshape(2, 5, 4)),
+    }
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("kind", sorted(flat_models()))
+    def test_params_and_grads_are_views_after_compile_step_and_load(self, kind, tmp_path):
+        m, shape, loss, X, Y = flat_models()[kind]
+        m.compile(shape, loss, "adam")
+        assert_flat_views(m)
+        before = m.flat_params.copy()
+        m.train_on_batch(X, Y)
+        assert_flat_views(m)
+        assert np.any(m.flat_params != before) and np.any(m.flat_grads != 0.0)
+        path = str(tmp_path / "m.gbk")
+        m.save(path)
+        loaded = load_model(path)
+        assert_flat_views(loaded)
+        npt.assert_array_equal(loaded.flat_params, m.flat_params)
+        loaded.train_on_batch(X, Y)
+        assert_flat_views(loaded)
+
+    def test_frozen_embedding_stays_out_of_the_vectors(self):
+        table = Rng(7).normal((6, 2))
+        m = SequentialModel([Embedding(6, 2, weights=table, trainable=False), LSTM(3)])
+        m.compile((4,), "mse", "sgd")
+        assert_flat_views(m)
+        assert m.flat_params.size == m.layers[1].param_count()
+        assert not np.shares_memory(m.layers[0].params["W"], m.flat_params)
+        m.train_on_batch(np.array([[1, 2, 3, 4]]), np.ones((1, 3)))
+        npt.assert_array_equal(m.layers[0].params["W"], table)
+
+    def test_time_distributed_dense_shares_its_inner_arrays(self):
+        m = SequentialModel([SimpleRNN(3, return_sequences=True), TimeDistributedDense(2)])
+        m.compile((4, 2), "mse", "sgd")
+        tdd = m.layers[1]
+        for k in ("W", "b"):
+            assert tdd.params[k] is tdd._dense.params[k]
+            assert tdd.grads[k] is tdd._dense.grads[k]
+
+    def test_in_place_write_reaches_the_next_forward(self):
+        # criterion 08's saturated gates, written through a compiled model:
+        # forget pinned to 1 and input to 0 after one write keep the cell
+        m = SequentialModel([LSTM(1, return_sequences=True)])
+        m.compile((21, 2), "mse", "sgd")
+        p = m.layers[0].params
+        for k in p:
+            p[k][:] = 0.0
+        p["bf"][:] = 500.0
+        p["Ui"][0, 0] = 1000.0
+        p["bi"][:] = -500.0
+        p["Ua"][0, 0] = 2.0
+        p["bo"][:] = 500.0
+        assert_flat_views(m)
+        X = np.zeros((1, 21, 2))
+        X[0, 0, 0] = 1.0
+        h = m.predict(X)[0, :, 0]
+        assert h[0] == pytest.approx(np.tanh(np.tanh(2.0)), rel=1e-12)
+        assert all(v == h[0] for v in h[1:])
+
 
 class TestHistory:
     def test_csv_header_and_repr_floats(self, tmp_path):

@@ -232,6 +232,117 @@ class TestAdam:
         assert opt._t["a"] == 3 and opt._t["b"] == 2
 
 
+# The seven update rules as whole-array expressions, the form they had
+# before the library's rules ran block by block through two scratch
+# buffers. Same operations in the same order, so the blocked rules must
+# match them bit for bit. ``s`` holds the slots, created like the library's.
+def ref_sgd(o, s, p, g, t):
+    p -= o.lr * g
+
+
+def ref_momentum(o, s, p, g, t):
+    v = s.setdefault("v", np.zeros_like(p))
+    v *= o.gamma
+    v += o.lr * g
+    p -= v
+
+
+def ref_nesterov(o, s, p, g, t):
+    v = s.setdefault("v", np.zeros_like(p))
+    v *= o.gamma
+    v -= o.lr * g
+    p += o.gamma * v - o.lr * g
+
+
+def ref_adagrad(o, s, p, g, t):
+    acc = s.setdefault("G", np.zeros_like(p))
+    acc += g * g
+    p -= o.lr * g / np.sqrt(acc + o.eps)
+
+
+def ref_adadelta(o, s, p, g, t):
+    eg = s.setdefault("Eg", np.zeros_like(p))
+    ed = s.setdefault("Ed", np.zeros_like(p))
+    eg *= o.rho
+    eg += (1.0 - o.rho) * g * g
+    delta = -g * np.sqrt(ed + o.eps) / np.sqrt(eg + o.eps)
+    ed *= o.rho
+    ed += (1.0 - o.rho) * delta * delta
+    p += delta
+
+
+def ref_rmsprop(o, s, p, g, t):
+    eg = s.setdefault("Eg", np.zeros_like(p))
+    eg *= o.rho
+    eg += (1.0 - o.rho) * g * g
+    p -= o.lr * g / np.sqrt(eg + o.eps)
+
+
+def ref_adam(o, s, p, g, t):
+    m = s.setdefault("m", np.zeros_like(p))
+    v = s.setdefault("v", np.zeros_like(p))
+    m *= o.beta1
+    m += (1.0 - o.beta1) * g
+    v *= o.beta2
+    v += (1.0 - o.beta2) * g * g
+    m_hat = m / (1.0 - o.beta1 ** t)
+    v_hat = v / (1.0 - o.beta2 ** t)
+    p -= o.lr * m_hat / np.sqrt(v_hat + o.eps)
+
+
+REFERENCE = {
+    "sgd": ref_sgd,
+    "momentum": ref_momentum,
+    "nesterov": ref_nesterov,
+    "adagrad": ref_adagrad,
+    "adadelta": ref_adadelta,
+    "rmsprop": ref_rmsprop,
+    "adam": ref_adam,
+}
+
+C = optim.CHUNK
+BLOCK_SHAPES = [(1,), (C - 1,), (C,), (C + 1,), (3 * C + 17,), (4, 3, C // 12 + 5), (2, 0)]
+
+
+def test_reference_covers_every_rule():
+    assert sorted(REFERENCE) == sorted(optim._REGISTRY)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_blocked_rule_is_bit_identical_to_reference(name, shape):
+    rng = np.random.default_rng(sum(shape) + len(name))
+    opt = optim.get(name)
+    p = rng.normal(size=shape)
+    want = p.copy()
+    slots = {}
+    for t in range(1, 6):
+        # gradients spread over several magnitudes, zeros included
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+        g[rng.random(shape) < 0.05] = 0.0
+        opt.step({"w": p}, {"w": g})
+        REFERENCE[name](opt, slots, want, g, t)
+        npt.assert_array_equal(p, want)
+    assert sorted(opt._state) == sorted("w/" + k for k in slots)
+    for k, slot in slots.items():
+        npt.assert_array_equal(opt._state["w/" + k].reshape(shape), slot)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_non_contiguous_parameter_updated_in_place(name):
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(C // 100, 150))
+    p = base.T  # a view whose reshape(-1) is a copy
+    want = p.copy()
+    opt = optim.get(name)
+    slots = {}
+    for t in range(1, 4):
+        g = rng.normal(size=p.shape)
+        opt.step({"w": p}, {"w": g})
+        REFERENCE[name](opt, slots, want, g, t)
+    npt.assert_array_equal(base.T, want)
+
+
 def test_shape_mismatch_names_parameter():
     with pytest.raises(ValueError, match="'w'"):
         optim.SGD().step({"w": np.ones((2, 2))}, {"w": np.ones(3)})

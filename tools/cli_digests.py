@@ -38,6 +38,10 @@ COMMANDS = [
     ("gd-diverge", ["gd", "--alpha", "1.01"]),
     ("perceptron", ["perceptron", "--gate", "xor", "--seed", "3"]),
     ("mlp-tabular", ["train", "--task", "mlp-tabular", "--data", "table.csv", "--epochs", "3"]),
+    # with the tasks' own sgd, adam and rmsprop, every update rule runs
+    *[("mlp-tabular-" + opt, ["train", "--task", "mlp-tabular", "--data", "table.csv",
+                              "--epochs", "3", "--optimizer", opt])
+      for opt in ("momentum", "nesterov", "adagrad", "adadelta")],
     ("cnn-image", ["train", "--task", "cnn-image", "--data", "train-images.idx",
                    "train-labels.idx", "test-images.idx", "test-labels.idx", "--epochs", "1",
                    "--limit-train", "48", "--limit-test", "16", "--batch-size", "16"]),
