@@ -412,6 +412,11 @@ def cmd_generate(args):
             "or pass --vocab)" % vocab_path
         )
     vocab = CharVocab.load_json(vocab_path)
+    if len(vocab) != model.input_shape[-1]:
+        raise SystemExit(
+            "vocabulary %s has %d characters but the model takes %d-wide one-hot input"
+            % (vocab_path, len(vocab), model.input_shape[-1])
+        )
     if args.seed_char is not None:
         if args.seed_char not in vocab.char_to_id:
             raise SystemExit("seed character %r is not in the vocabulary" % args.seed_char)
@@ -483,11 +488,17 @@ def cmd_gan(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _epoch_count(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
+def _at_least(lo):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, n))
+        return n
+
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser():
@@ -521,7 +532,7 @@ def build_parser():
         required=True,
     )
     p.add_argument("--data", nargs="+", required=True, help="task data paths")
-    p.add_argument("--epochs", type=_epoch_count, required=True)
+    p.add_argument("--epochs", type=_at_least(1), required=True)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--optimizer", default=None, help="sgd, momentum, adam, ...")
     p.add_argument("--lr", type=float, default=None)
@@ -543,16 +554,19 @@ def build_parser():
     p = sub.add_parser("generate", help="greedy sampling from a character model")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--length", type=int, default=200)
+    p.add_argument("--length", type=_at_least(0), default=200)
     p.add_argument("--seed-char", default=None)
-    p.add_argument("--window", type=int, default=100)
+    p.add_argument(
+        "--window", type=_at_least(1), default=100,
+        help="history length each character is predicted from",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/generate")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("gan", help="adversarial training on IDX images")
     p.add_argument("--data", nargs=2, required=True, metavar=("IMAGES", "LABELS"))
-    p.add_argument("--epochs", type=_epoch_count, required=True)
+    p.add_argument("--epochs", type=_at_least(1), required=True)
     p.add_argument("--latent-dim", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--sample-every", type=int, default=20)

@@ -1,14 +1,17 @@
 """Recurrent layers, embeddings, and greedy sequence generation.
 
 Sequence input is [batch, time, features]. Hidden state starts at zero
-for every sequence. ``SimpleRNN`` and ``LSTM`` keep only the recurrence
-in their time loops (Appleyard, Kocisky and Blunsom 2016, "Optimizing
+for every sequence, unless inference carries it from one forward to the
+next (``_SequenceLayer._carry``; ``generate_greedy`` does so while its
+window fills). ``SimpleRNN`` and ``LSTM`` keep only the recurrence in
+their time loops (Appleyard, Kocisky and Blunsom 2016, "Optimizing
 Performance of Recurrent Neural Networks on GPUs"): the input projection
 ``x @ U`` for all steps is one GEMM before the forward loop, and
 backpropagation through time leaves ``dW``, ``dU``, ``db`` and ``dx`` to
 one GEMM or sum each after the backward loop. Backward overwrites the
 per-step tensors that ``forward`` cached, so each forward serves one
-backward; a second backward raises ``ValueError``.
+backward; a second backward, or one after a carried forward, raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-from .layers import Dense, Layer, get_initializer
+from .layers import Dense, Dropout, Layer, get_initializer
 
 
 def _previous(seq):
@@ -34,6 +37,22 @@ class _SequenceLayer(Layer):
     ``return_sequences`` is False."""
 
     _cache = None
+    # None, or the state a forward starts from instead of zeros, (h,) or
+    # (h, c), which that forward replaces with its state after the last
+    # step. Inference only: such a forward leaves no backward cache.
+    _carry = None
+    _n_states = 1
+
+    def _zero_state(self, b):
+        return tuple(np.zeros((b, self.units)) for _ in range(self._n_states))
+
+    def _keep(self, x, cache, state):
+        """Store what backward needs, or, when carrying, the final state."""
+        self._x = x
+        if self._carry is None:
+            self._cache = cache
+        else:
+            self._cache, self._carry = None, state
 
     def out_shape(self, input_shape):
         t = input_shape[0]
@@ -167,13 +186,13 @@ class SimpleRNN(_SequenceLayer):
         W, U, bias = self.params["W"], self.params["U"], self.params["b"]
         pres = (x.reshape(b * T, n_in) @ U).reshape(b, T, self.units)
         hs = np.empty((b, T, self.units))
-        h = np.zeros((b, self.units))
+        (h,) = self._carry or self._zero_state(b)
         for t in range(T):
             pre = pres[:, t]
             pre += h @ W
             pre += bias
             h = hs[:, t] = self.activation.fn(pre)
-        self._x, self._cache = x, (pres, hs)
+        self._keep(x, (pres, hs), (h,))
         return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False):
@@ -235,6 +254,7 @@ class LSTM(_SequenceLayer):
     """
 
     kind = "lstm"
+    _n_states = 2
     GATES = ("f", "i", "a", "o")
     _FUSED = ("f", "i", "o", "a")
 
@@ -270,8 +290,7 @@ class LSTM(_SequenceLayer):
         cs = np.empty((b, T, u))
         tcs = np.empty((b, T, u))
         hs = np.empty((b, T, u))
-        h = np.zeros((b, u))
-        c = np.zeros((b, u))
+        h, c = self._carry or self._zero_state(b)
         for t in range(T):
             g = gates[:, t]
             g += h @ W
@@ -281,7 +300,7 @@ class LSTM(_SequenceLayer):
             f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
             c = np.add(f * c, i * a, out=cs[:, t])
             h = np.multiply(o, np.tanh(c, out=tcs[:, t]), out=hs[:, t])
-        self._x, self._cache = x, (W, U, gates, cs, tcs, hs)
+        self._keep(x, (W, U, gates, cs, tcs, hs), (h, c))
         return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False):
@@ -375,6 +394,19 @@ class TimeDistributedDense(_SequenceLayer):
         return {"units": self.units, "activation": self._dense.activation.name}
 
 
+def _carriers(model):
+    """The recurrent layers of ``model`` when every layer can run one
+    step at a time on a carried state (a sequence-returning SimpleRNN or
+    LSTM, Dropout, TimeDistributedDense); otherwise an empty list."""
+    recurrent = []
+    for layer in getattr(model, "layers", ()):
+        if isinstance(layer, (SimpleRNN, LSTM)) and layer.return_sequences:
+            recurrent.append(layer)
+        elif not isinstance(layer, (Dropout, TimeDistributedDense)):
+            return []
+    return recurrent
+
+
 def generate_greedy(model, seed_id, length, n_vocab, window=100):
     """Greedy closed-loop sampling from a next-token model.
 
@@ -382,12 +414,34 @@ def generate_greedy(model, seed_id, length, n_vocab, window=100):
     trailing ``window`` steps) through the model, and appends the argmax
     of the final timestep's distribution each round. Ties resolve to
     the lowest id. Returns the list of length+1 ids including the seed.
+
+    While the history is shorter than the window, a model whose every
+    layer can carry recurrent state is fed only the newest step, from
+    the state the previous call left (Graves 2013, arXiv:1308.0850):
+    the recurrence a rerun from zero would compute, up to the rounding
+    of the input projections. Once the window is full, each step reruns
+    the trailing ``window`` steps from a zero state. Either way
+    ``model.predict`` sees one row per character.
     """
+    if window < 1:
+        raise ValueError("window must be at least 1, got %d" % window)
+    if length < 0:
+        raise ValueError("length must be at least 0, got %d" % length)
     ids = [int(seed_id)]
     history = np.zeros((1, length + 1, n_vocab))
-    for i in range(length):
-        history[0, i, ids[-1]] = 1.0
-        lo = max(0, i - (window - 1))
-        probs = model.predict(history[:, lo : i + 1, :])[0]
-        ids.append(int(np.argmax(probs[-1])))
+    carriers = _carriers(model)
+    for layer in carriers:
+        layer._carry = layer._zero_state(1)
+    try:
+        for i in range(length):
+            history[0, i, ids[-1]] = 1.0
+            if i == window:
+                for layer in carriers:
+                    layer._carry = None
+            lo = i if carriers and i < window else max(0, i - (window - 1))
+            probs = model.predict(history[:, lo : i + 1, :])[0]
+            ids.append(int(np.argmax(probs[-1])))
+    finally:
+        for layer in carriers:
+            layer._carry = None
     return ids

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from minidl import cli
+from minidl.data import CharVocab
 from minidl.model import load_model
 
 
@@ -428,6 +429,25 @@ class TestTrainChar:
                 ["generate", "--model", str(lone), "--out", str(tmp_path / "gen")]
             )
 
+    def test_generate_length_zero_prints_seed_char(self, char_run, tmp_path, capsys):
+        rc = cli.main(
+            ["generate", "--model", os.path.join(char_run, "model.gbk"), "--length", "0",
+             "--seed-char", "q", "--out", str(tmp_path / "gen")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "q"
+
+    def test_generate_rejects_vocab_of_other_width(self, char_run, tmp_path):
+        vocab = tmp_path / "vocab.json"
+        CharVocab.from_text("abcdefghij").save_json(str(vocab))
+        width = load_model(os.path.join(char_run, "model.gbk")).input_shape[-1]
+        message = r"has 10 characters but the model takes %d-wide" % width
+        with pytest.raises(SystemExit, match=message):
+            cli.main(
+                ["generate", "--model", os.path.join(char_run, "model.gbk"),
+                 "--vocab", str(vocab), "--out", str(tmp_path / "gen")]
+            )
+
 
 class TestGan:
     def test_smoke_and_reproducibility(self, tmp_path, capsys, digit_idx_paths):
@@ -493,4 +513,15 @@ class TestParser:
             cli.main(argv + ["--epochs", epochs, "--out", str(out)])
         assert exc.value.code == 2
         assert "--epochs: must be at least 1, got %s" % epochs in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, least", [("--window", "0", 1), ("--window", "-3", 1), ("--length", "-2", 0)]
+    )
+    def test_generate_rejects_out_of_range_counts(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "gen"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--model", "model.gbk", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "%s: must be at least %d, got %s" % (flag, least, value) in capsys.readouterr().err
         assert not out.exists()

@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from minidl import activations, recurrent
-from minidl.layers import Dense
+from minidl.data import build_char_dataset
+from minidl.layers import Dense, Dropout
+from minidl.model import SequentialModel
 from minidl.tensor import Rng
 
 
@@ -465,6 +467,28 @@ def test_backward_consumes_forward_cache(layer):
     npt.assert_array_equal(layer.backward(up), first)
 
 
+@pytest.mark.parametrize("return_sequences", [True, False])
+@pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+def test_carried_state_continues_a_forward(kind, return_sequences):
+    cls = recurrent.LSTM if kind == "lstm" else recurrent.SimpleRNN
+    layer = cls(5, return_sequences=return_sequences)
+    layer.build((7, 4), Rng(0))
+    x = Rng(1).normal((3, 7, 4))
+    want = layer.forward(x)
+    layer._carry = layer._zero_state(3)
+    head = layer.forward(x[:, :3])
+    tail = layer.forward(x[:, 3:])
+    got = np.concatenate([head, tail], axis=1) if return_sequences else tail
+    npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+    npt.assert_allclose(layer._carry[0], want[:, -1] if return_sequences else want,
+                        rtol=1e-12, atol=0)
+    assert len(layer._carry) == (2 if kind == "lstm" else 1)
+    # a carried forward is inference only: it leaves nothing to backward
+    assert layer._x.shape == (3, 4, 4)
+    with pytest.raises(ValueError, match=layer.kind):
+        layer.backward(np.ones_like(tail))
+
+
 class TestTimeDistributedDense:
     def test_equals_reshaped_dense(self):
         rng = Rng(31)
@@ -549,3 +573,97 @@ class TestGenerateGreedy:
 
         ids = recurrent.generate_greedy(Flat(), 3, 4, 4)
         assert ids == [3, 0, 0, 0, 0]
+
+    def test_rejects_bad_window_and_length(self):
+        for window in (0, -3):
+            with pytest.raises(ValueError, match="window"):
+                recurrent.generate_greedy(_Stub(3), 0, 5, 3, window=window)
+        with pytest.raises(ValueError, match="length"):
+            recurrent.generate_greedy(_Stub(3), 0, -2, 3)
+        assert recurrent.generate_greedy(_Stub(3), 2, 0, 3) == [2]
+
+
+CHAR_TEXT = "the quick brown fox jumps over the lazy dog. " * 6
+
+
+@pytest.fixture(scope="module")
+def char_lstm():
+    """A 2-layer character LSTM trained long enough to predict varied ids."""
+    X, Y, vocab = build_char_dataset(CHAR_TEXT, 15)
+    model = SequentialModel(
+        [
+            recurrent.LSTM(24, return_sequences=True),
+            Dropout(0.2),
+            recurrent.LSTM(24, return_sequences=True),
+            Dropout(0.2),
+            recurrent.TimeDistributedDense(len(vocab), activation="softmax"),
+        ],
+        seed=5,
+    )
+    model.compile((15, len(vocab)), "categorical_crossentropy", "adam")
+    model.fit(X[:-1], Y[:-1], epochs=150, batch_size=6)
+    return model, len(vocab)
+
+
+def rerun_greedy(model, seed_id, length, n_vocab, window):
+    """generate_greedy as first written: every character reruns the
+    trailing window from a zero state."""
+    ids = [int(seed_id)]
+    history = np.zeros((1, length + 1, n_vocab))
+    for i in range(length):
+        history[0, i, ids[-1]] = 1.0
+        lo = max(0, i - (window - 1))
+        probs = model.predict(history[:, lo : i + 1, :])[0]
+        ids.append(int(np.argmax(probs[-1])))
+    return ids
+
+
+def carries(model):
+    return [getattr(layer, "_carry", None) for layer in model.layers]
+
+
+def record_predict(model, monkeypatch):
+    """Make ``model.predict`` log the shape of each input; returns the log."""
+    seen = []
+    predict = model.predict
+    monkeypatch.setattr(model, "predict", lambda x: seen.append(x.shape) or predict(x))
+    return seen
+
+
+class TestGenerateCarried:
+    @pytest.mark.parametrize("window", [6, 40])
+    def test_ids_match_the_rerun(self, char_lstm, window, monkeypatch):
+        model, n_vocab = char_lstm
+        want = rerun_greedy(model, 3, 30, n_vocab, window)
+        assert len(set(want)) > 8
+        seen = record_predict(model, monkeypatch)
+        assert recurrent.generate_greedy(model, 3, 30, n_vocab, window=window) == want
+        # one row per character, one step per character until the window is full
+        assert [b for b, _, _ in seen] == [1] * 30
+        assert [t for _, t, _ in seen] == [1 if i < window else window for i in range(30)]
+        assert carries(model) == [None] * 5
+
+    def test_carries_cleared_when_predict_raises(self, char_lstm, monkeypatch):
+        model, n_vocab = char_lstm
+        calls = []
+        predict = model.predict
+
+        def failing(x):
+            calls.append(x.shape)
+            if len(calls) == 3:
+                assert carries(model)[0] is not None
+                raise RuntimeError("boom")
+            return predict(x)
+
+        monkeypatch.setattr(model, "predict", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            recurrent.generate_greedy(model, 0, 10, n_vocab, window=5)
+        assert carries(model) == [None] * 5
+
+    def test_last_step_only_layer_keeps_the_rerun(self, monkeypatch):
+        model = SequentialModel([recurrent.LSTM(4), Dense(3, activation="softmax")], seed=1)
+        model.compile((5, 3), "categorical_crossentropy", "sgd")
+        want = rerun_greedy(model, 1, 8, 3, 4)
+        seen = record_predict(model, monkeypatch)
+        assert recurrent.generate_greedy(model, 1, 8, 3, window=4) == want
+        assert [t for _, t, _ in seen] == [1, 2, 3, 4, 4, 4, 4, 4]

@@ -48,6 +48,8 @@ COMMANDS = [
     ("charrnn", ["train", "--task", "charrnn", *CHAR]),
     ("charlstm", ["train", "--task", "charlstm", *CHAR]),
     ("charlstm-val", ["train", "--task", "charlstm", *CHAR, "--val-split", "0.5"]),
+    # the later --layers wins
+    ("charlstm-stacked", ["train", "--task", "charlstm", *CHAR, "--layers", "2"]),
     ("sentiment", ["train", "--task", "sentiment", "--data", "reviews.tsv", "--epochs", "2",
                    "--batch-size", "8", "--num-words", "50", "--maxlen", "8",
                    "--embed-dim", "8", "--units", "8"]),
@@ -55,6 +57,8 @@ COMMANDS = [
                   "--window", "10"]),
     ("generate-seed-char", ["generate", "--model", "runs/charlstm/model.gbk", "--length", "20",
                             "--seed-char", "q"]),
+    ("generate-stacked", ["generate", "--model", "runs/charlstm-stacked/model.gbk",
+                          "--length", "40", "--window", "10"]),
     ("gan", ["gan", "--data", "train-images.idx", "train-labels.idx", "--epochs", "1",
              "--limit", "128", "--batch-size", "64", "--sample-every", "1", "--seed", "4"]),
 ]
