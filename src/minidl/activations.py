@@ -45,9 +45,20 @@ def drelu(x, y=None):
     return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
+def _check_slope(slope):
+    # the max form below needs 0 < slope <= 1: at 0 it turns +inf into
+    # NaN (0 * inf), above 1 it picks the wrong branch
+    if not 0.0 < slope <= 1.0:  # also rejects NaN
+        raise ValueError("leaky_relu slope must be in (0, 1], got %r" % (slope,))
+
+
 def leaky_relu(x, slope=0.2):
+    # max(x, slope * x) is x for x > 0 and slope * x otherwise: the bits
+    # of np.where(x > 0, x, slope * x), written into one buffer
+    _check_slope(slope)
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x, slope * x)
+    out = np.multiply(x, slope, out=np.empty_like(x))
+    return np.maximum(x, out, out=out)
 
 
 def dleaky_relu(x, slope=0.2, y=None):
@@ -116,6 +127,7 @@ def get(name, slope=0.2):
     if isinstance(name, Activation):
         return name
     if name == "leaky_relu":
+        _check_slope(slope)
         return _make_leaky(slope)
     try:
         return _REGISTRY[name]

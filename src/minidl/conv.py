@@ -23,7 +23,8 @@ image (the last (kw - 1)*dw columns and (kh - 1)*dh rows of the padded
 grid) are dropped; a stride above one is computed at stride one and
 subsampled.
 
-Forward caches the kw-lowered padded input. Backward takes the weight
+Forward caches the kw-lowered padded input, and backward consumes that
+cache, so each forward serves one backward. Backward takes the weight
 gradient of kernel row ki as one GEMM of that cached matrix, shifted
 by ki*dh*wp rows, against the upstream gradient laid out on the same
 stride-one row grid (zeros at dropped and skipped positions). The input
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-from .layers import Layer, get_initializer
+from .layers import Layer, get_initializer, positive_int
 
 
 def _pair(v):
@@ -48,6 +49,13 @@ def _pair(v):
             raise ValueError("expected a pair, got %r" % (v,))
         return int(v[0]), int(v[1])
     return int(v), int(v)
+
+
+def _positive_pair(name, v):
+    pair = _pair(v)
+    if min(pair) < 1:
+        raise ValueError("%s must be at least 1, got %r" % (name, v))
+    return pair
 
 
 def conv_output_size(n, k, stride, pad_lo, pad_hi, dilation=1):
@@ -131,11 +139,11 @@ class Conv2D(Layer):
         init="glorot",
     ):
         super().__init__()
-        self.filters = int(filters)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
+        self.filters = positive_int("filters", filters)
+        self.kernel_size = _positive_pair("kernel_size", kernel_size)
+        self.stride = _positive_pair("stride", stride)
         self.padding = padding
-        self.dilation = _pair(dilation)
+        self.dilation = _positive_pair("dilation", dilation)
         self.activation = activations.get(activation)
         self._init_spec = init
 
@@ -175,6 +183,9 @@ class Conv2D(Layer):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         b, h, w, cin = x.shape
+        # drop the last call's cache before lowering this input, so the
+        # two lowered copies are never alive at once
+        self._cache = None
         sh, sw = self.stride
         geom = self._geometry(h, w)
         pt, pb, pl, pr, oh, ow = geom
@@ -189,13 +200,12 @@ class Conv2D(Layer):
         self._out = self.activation.fn(self._pre)
         return self._out
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
         if preact:
             delta = upstream
         else:
             delta = upstream * self.activation.deriv(self._pre, self._out)
-        lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._cache
-        W = self.params["W"]
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
@@ -205,12 +215,19 @@ class Conv2D(Layer):
         grid = np.zeros((lead + n, self.filters))
         placed = grid[lead:]
         placed.reshape(b, hp, wp, self.filters)[:, : oh * sh : sh, : ow * sw : sw] = delta
-        valid = placed[: n - lead]
-        dW = self.grads["W"].reshape(kh, kw * cin, self.filters)
-        for ki in range(kh):
-            lo = ki * dh * wp
-            np.matmul(lowered[lo : lo + n - lead].T, valid, out=dW[ki])
-        np.sum(delta.reshape(-1, self.filters), axis=0, out=self.grads["b"])
+        if param_grads:
+            valid = placed[: n - lead]
+            dW = self.grads["W"].reshape(kh, kw * cin, self.filters)
+            for ki in range(kh):
+                lo = ki * dh * wp
+                np.matmul(lowered[lo : lo + n - lead].T, valid, out=dW[ki])
+            np.sum(delta.reshape(-1, self.filters), axis=0, out=self.grads["b"])
+        # free the forward's lowered input before the input gradient
+        # lowers its own
+        del lowered
+        if not input_grad:
+            return None
+        W = self.params["W"]
         flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
         dxp, _ = _correlate(grid, wp, flipped, self.dilation)
         h = hp - pt - pb
@@ -289,7 +306,9 @@ class Pool2D(Layer):
             return np.max(win, axis=3)
         return np.mean(win, axis=3)
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
         oh, ow = self._geom
         ph, pw = self.pool_size
         sh, sw = self.stride

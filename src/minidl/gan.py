@@ -11,9 +11,12 @@ is:
 
   generator step: draw fresh noise, push it through the generator and
   discriminator in training mode, take binary cross entropy against
-  all-ones labels, and backpropagate through the discriminator without
-  stepping its parameters, applying the resulting input gradient to
-  the generator only.
+  all-ones labels, and backpropagate through the discriminator for its
+  input gradient only: its weight gradients are not computed (its
+  ``flat_grads`` are neither read nor written) and its parameters are
+  not stepped. That input gradient then fills the generator's weight
+  gradients, with no gradient taken for the noise, and only the
+  generator is stepped.
 
 Both models must be compiled (their attached optimizers are ignored;
 the trainer steps its own two optimizers over each network's
@@ -87,8 +90,8 @@ class GanTrainer:
         y = np.ones((b, 1))
         value = self._loss.value(d_out, y)
         grad = self._loss.grad(d_out, y)
-        dx = self.discriminator.backward(grad, preact=True)
-        self.generator.backward(dx, preact=False)
+        dx = self.discriminator.backward(grad, preact=True, param_grads=False)
+        self.generator.backward(dx, input_grad=False)
         self.generator.apply_gradients(self.g_optimizer)
         return value
 

@@ -2,20 +2,31 @@
 
 Each layer caches what its own backward pass needs during forward, so
 training code is just forward, loss gradient, backward, optimizer step.
-``backward`` takes the upstream gradient and returns the gradient with
-respect to the layer input. ``build`` gives each trainable parameter a
-gradient array of its shape in ``self.grads``, keyed like
-``self.params``, and ``backward`` writes into those arrays (``out=`` or
-``[...] =``), never replacing them: once a model is compiled, both
-dicts hold views into the model's flat parameter and gradient vectors.
-A parameter is likewise changed by writing into it, never by rebinding
-its entry.
+``build`` gives each trainable parameter a gradient array of its shape
+in ``self.grads``, keyed like ``self.params``. A parameter is changed by
+writing into it, never by rebinding its entry: once a model is
+compiled, both dicts hold views into the model's flat parameter and
+gradient vectors.
 
-The ``preact`` flag on ``backward`` exists for losses fused with the
-output activation: when True the layer treats the incoming gradient as
-already being with respect to its preactivation and skips the
-activation derivative. Only the final layer of a model should ever see
-preact=True.
+The backward contract, shared by every layer in the library::
+
+    backward(upstream, preact=False, input_grad=True, param_grads=True)
+
+takes the gradient with respect to the layer's output. With
+``param_grads`` it writes the gradient of every trainable parameter
+into that parameter's ``self.grads`` array (``out=`` or ``[...] =``,
+never replacing the array); without it those arrays are left exactly as
+they were, neither read nor written. With ``input_grad`` it returns the
+gradient with respect to the layer input; without it it returns None.
+A False flag skips the GEMMs and sums that only it would need, and
+nothing else changes: what is computed comes out bit for bit as with
+both flags on. A layer whose input has no gradient (``Embedding``)
+returns None either way.
+
+The ``preact`` flag exists for losses fused with the output activation:
+when True the layer treats the incoming gradient as already being with
+respect to its preactivation and skips the activation derivative. Only
+the final layer of a model should ever see preact=True.
 """
 
 from __future__ import annotations
@@ -64,6 +75,15 @@ def random_normal(std=0.02):
     return init
 
 
+def positive_int(name, value):
+    """``int(value)``, or ValueError naming the argument when it is
+    below one."""
+    n = int(value)
+    if n < 1:
+        raise ValueError("%s must be at least 1, got %r" % (name, value))
+    return n
+
+
 def get_initializer(spec):
     """Resolve an initializer: a callable passes through, a string names
     a family, and ("normal", std) fixes the spread explicitly."""
@@ -88,6 +108,7 @@ def get_initializer(spec):
 
 class Layer:
     kind = "layer"
+    _cache = None
 
     def __init__(self):
         self.params = {}
@@ -110,8 +131,19 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         raise NotImplementedError
+
+    def _take_cache(self):
+        """Hand the last forward's cache to backward, which may overwrite
+        or free it: each forward's cache serves one backward."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise ValueError(
+                "%s backward needs a forward first: each forward's cache "
+                "serves one backward" % (self.kind,)
+            )
+        return cache
 
     def param_count(self):
         return int(sum(p.size for p in self.params.values()))
@@ -135,7 +167,7 @@ class Dense(Layer):
 
     def __init__(self, units, activation="linear", init="glorot", leaky_slope=0.2):
         super().__init__()
-        self.units = int(units)
+        self.units = positive_int("units", units)
         self.activation = activations.get(activation, slope=leaky_slope)
         self._init_spec = init
         self._leaky_slope = leaky_slope
@@ -160,18 +192,20 @@ class Dense(Layer):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         self._x = x
-        self._pre = x @ self.params["W"] + self.params["b"]
+        pre = self._pre = x @ self.params["W"]
+        pre += self.params["b"]
         self._out = self.activation.fn(self._pre)
         return self._out
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         if preact:
             delta = upstream
         else:
             delta = upstream * self.activation.deriv(self._pre, self._out)
-        np.matmul(self._x.T, delta, out=self.grads["W"])
-        np.sum(delta, axis=0, out=self.grads["b"])
-        return delta @ self.params["W"].T
+        if param_grads:
+            np.matmul(self._x.T, delta, out=self.grads["W"])
+            np.sum(delta, axis=0, out=self.grads["b"])
+        return delta @ self.params["W"].T if input_grad else None
 
     @property
     def preactivation(self):
@@ -212,7 +246,9 @@ class Dropout(Layer):
         self._mask = (self._rng.uniform(x.shape) >= self.rate).astype(np.float64) / keep
         return x * self._mask
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
         if self._mask is None:
             return upstream
         return upstream * self._mask
@@ -267,10 +303,13 @@ class BatchNorm(Layer):
         self._train_batch = x.shape[0] if train else None
         return self.params["gamma"] * self._xhat + self.params["beta"]
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         xhat = self._xhat
-        np.sum(upstream * xhat, axis=0, out=self.grads["gamma"])
-        np.sum(upstream, axis=0, out=self.grads["beta"])
+        if param_grads:
+            np.sum(upstream * xhat, axis=0, out=self.grads["gamma"])
+            np.sum(upstream, axis=0, out=self.grads["beta"])
+        if not input_grad:
+            return None
         dxhat = upstream * self.params["gamma"]
         if self._train_batch is None:
             # inference-mode backward (frozen statistics) is a plain
@@ -303,5 +342,5 @@ class Flatten(Layer):
         self._shape = x.shape
         return np.ascontiguousarray(x).reshape(x.shape[0], self._n)
 
-    def backward(self, upstream, preact=False):
-        return upstream.reshape(self._shape)
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        return upstream.reshape(self._shape) if input_grad else None

@@ -188,19 +188,36 @@ class SequentialModel:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self, grad, preact=False):
-        """Run the full backward pass from an output gradient. ``preact``
+    def backward(self, grad, preact=False, input_grad=True, param_grads=True):
+        """Run the backward pass from an output gradient. ``preact``
         marks the gradient as being with respect to the final layer's
-        preactivation (fused losses)."""
+        preactivation (fused losses). The two flags mean what they mean
+        for one layer (see ``layers``): ``param_grads`` fills every
+        layer's gradient arrays, and ``input_grad`` returns the gradient
+        with respect to the model input. Without ``input_grad`` the pass
+        stops at the lowest layer with gradients to fill and returns
+        None."""
+        layers = self.layers
+        last = len(layers) - 1
+        # the lowest layer whose results the caller reads
+        if input_grad:
+            stop = 0
+        elif param_grads:
+            stop = next((i for i, layer in enumerate(layers) if layer.grads), last + 1)
+        else:
+            stop = last + 1
         g = grad
-        for i in range(len(self.layers) - 1, -1, -1):
-            g = self.layers[i].backward(g, preact=(preact and i == len(self.layers) - 1))
-            if g is None and i > 0:
+        for i in range(last, stop - 1, -1):
+            g = layers[i].backward(
+                g, preact=preact and i == last,
+                input_grad=input_grad or i > stop, param_grads=param_grads,
+            )
+            if g is None and i > stop:
                 raise RuntimeError(
                     "layer %d (%s) ended the gradient chain with layers below it"
-                    % (i, self.layers[i].kind)
+                    % (i, layers[i].kind)
                 )
-        return g
+        return g if input_grad else None
 
     def named_params(self):
         out = {}
@@ -238,7 +255,7 @@ class SequentialModel:
         loss_in = self._loss_input(out, loss)
         value = loss.value(loss_in, y)
         grad = loss.grad(loss_in, y)
-        self.backward(grad, preact=loss.fused is not None)
+        self.backward(grad, preact=loss.fused is not None, input_grad=False)
         self.apply_gradients(optimizer)
         return value, out
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-from .layers import Dense, Dropout, Layer, get_initializer
+from .layers import Dense, Dropout, Layer, get_initializer, positive_int
 
 
 def _previous(seq):
@@ -36,7 +36,6 @@ class _SequenceLayer(Layer):
     ``units`` features at every step, or at the last step only when
     ``return_sequences`` is False."""
 
-    _cache = None
     # None, or the state a forward starts from instead of zeros, (h,) or
     # (h, c), which that forward replaces with its state after the last
     # step. Inference only: such a forward leaves no backward cache.
@@ -47,7 +46,9 @@ class _SequenceLayer(Layer):
         return tuple(np.zeros((b, self.units)) for _ in range(self._n_states))
 
     def _keep(self, x, cache, state):
-        """Store what backward needs, or, when carrying, the final state."""
+        """Store what backward needs, or, when carrying, the final state.
+        The input ``_x`` is kept apart from the cache and outlives
+        backward (perfbench's tracer reads the step count from it)."""
         self._x = x
         if self._carry is None:
             self._cache = cache
@@ -65,18 +66,6 @@ class _SequenceLayer(Layer):
                 "%s expected [batch, time, %d] input, got shape %s"
                 % (self.kind, self.input_shape[1], x.shape)
             )
-
-    def _take_cache(self):
-        """Hand the last forward's cache to backward, which may overwrite
-        it in place. The input ``_x`` is kept apart and outlives backward
-        (perfbench's tracer reads the step count from it)."""
-        cache, self._cache = self._cache, None
-        if cache is None:
-            raise ValueError(
-                "%s backward needs a forward first: each forward's cache "
-                "serves one backward" % (self.kind,)
-            )
-        return cache
 
     def _upstream_sequence(self, upstream, T):
         """The upstream gradient at every step; a layer that returns only
@@ -100,8 +89,8 @@ class Embedding(Layer):
 
     def __init__(self, vocab_size, dim, weights=None, trainable=True):
         super().__init__()
-        self.vocab_size = int(vocab_size)
-        self.dim = int(dim)
+        self.vocab_size = positive_int("vocab_size", vocab_size)
+        self.dim = positive_int("dim", dim)
         self.trainable = bool(trainable)
         self._preset = None if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -138,8 +127,8 @@ class Embedding(Layer):
         self._ids = ids
         return self.params["W"][ids]
 
-    def backward(self, upstream, preact=False):
-        if self.trainable:
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        if self.trainable and param_grads:
             dW = self.grads["W"]
             dW[...] = 0.0
             np.add.at(dW, self._ids.reshape(-1), upstream.reshape(-1, self.dim))
@@ -160,7 +149,7 @@ class SimpleRNN(_SequenceLayer):
 
     def __init__(self, units, activation="tanh", return_sequences=False, init="glorot"):
         super().__init__()
-        self.units = int(units)
+        self.units = positive_int("units", units)
         self.activation = activations.get(activation)
         self.return_sequences = bool(return_sequences)
         self._init_spec = init
@@ -195,7 +184,7 @@ class SimpleRNN(_SequenceLayer):
         self._keep(x, (pres, hs), (h,))
         return hs if self.return_sequences else h
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         pres, hs = self._take_cache()
         x = self._x
         b, T, n_in = x.shape
@@ -213,12 +202,14 @@ class SimpleRNN(_SequenceLayer):
             if not fused:
                 delta *= deltas[:, t]
             deltas[:, t] = delta
-            carry = delta @ W.T
+            if t:
+                carry = delta @ W.T
         d2 = deltas.reshape(b * T, self.units)
-        np.matmul(_previous(hs).reshape(b * T, self.units).T, d2, out=self.grads["W"])
-        np.matmul(x.reshape(b * T, n_in).T, d2, out=self.grads["U"])
-        np.sum(d2, axis=0, out=self.grads["b"])
-        return (d2 @ U.T).reshape(b, T, n_in)
+        if param_grads:
+            np.matmul(_previous(hs).reshape(b * T, self.units).T, d2, out=self.grads["W"])
+            np.matmul(x.reshape(b * T, n_in).T, d2, out=self.grads["U"])
+            np.sum(d2, axis=0, out=self.grads["b"])
+        return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
 
     def hyper(self):
         return {
@@ -260,7 +251,7 @@ class LSTM(_SequenceLayer):
 
     def __init__(self, units, return_sequences=False, init="glorot"):
         super().__init__()
-        self.units = int(units)
+        self.units = positive_int("units", units)
         self.return_sequences = bool(return_sequences)
         self._init_spec = init
 
@@ -303,7 +294,7 @@ class LSTM(_SequenceLayer):
         self._keep(x, (W, U, gates, cs, tcs, hs), (h, c))
         return hs if self.return_sequences else h
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         W, U, gates, cs, tcs, hs = self._take_cache()
         x = self._x
         b, T, n_in = x.shape
@@ -326,17 +317,19 @@ class LSTM(_SequenceLayer):
             f *= dc * c_prev * (1.0 - f)
             i[...] = d_i
             a[...] = d_a
-            carry_h = gates[:, t] @ W.T
+            if t:
+                carry_h = gates[:, t] @ W.T
         d2 = gates.reshape(b * T, 4 * u)
-        fused = {
-            "W": _previous(hs).reshape(b * T, u).T @ d2,
-            "U": x.reshape(b * T, n_in).T @ d2,
-            "b": d2.sum(axis=0),
-        }
-        cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
-        for key, grad in self.grads.items():
-            grad[...] = fused[key[0]][..., cols[key[1]]]
-        return (d2 @ U.T).reshape(b, T, n_in)
+        if param_grads:
+            fused = {
+                "W": _previous(hs).reshape(b * T, u).T @ d2,
+                "U": x.reshape(b * T, n_in).T @ d2,
+                "b": d2.sum(axis=0),
+            }
+            cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
+            for key, grad in self.grads.items():
+                grad[...] = fused[key[0]][..., cols[key[1]]]
+        return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
 
     def hyper(self):
         return {"units": self.units, "return_sequences": self.return_sequences}
@@ -354,7 +347,7 @@ class TimeDistributedDense(_SequenceLayer):
 
     def __init__(self, units, activation="linear", init="glorot"):
         super().__init__()
-        self.units = int(units)
+        self.units = positive_int("units", units)
         self._dense = Dense(units, activation=activation, init=init)
 
     @property
@@ -380,10 +373,13 @@ class TimeDistributedDense(_SequenceLayer):
         out = self._dense.forward(x.reshape(b * T, n), train=train)
         return out.reshape(b, T, self.units)
 
-    def backward(self, upstream, preact=False):
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         b, T, _ = upstream.shape
-        dx = self._dense.backward(upstream.reshape(b * T, self.units), preact=preact)
-        return dx.reshape(b, T, -1)
+        dx = self._dense.backward(
+            upstream.reshape(b * T, self.units), preact=preact,
+            input_grad=input_grad, param_grads=param_grads,
+        )
+        return None if dx is None else dx.reshape(b, T, -1)
 
     @property
     def preactivation(self):

@@ -85,6 +85,35 @@ def test_leaky_relu_slope():
     npt.assert_allclose(act.dleaky_relu(x, 0.2), [0.2, 0.2, 1.0])
 
 
+@pytest.mark.parametrize("slope", [0.01, 0.2, 1.0])
+def test_leaky_relu_bitwise_equals_where_formula(slope):
+    tiny = np.finfo(np.float64).tiny
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324,
+         tiny, -tiny, tiny / 3, -tiny / 3]
+    )
+    rng = np.random.default_rng(1)
+    x = np.concatenate([special, rng.normal(size=200_000) * 30.0,
+                        rng.uniform(-1.0, 1.0, size=50_000)])
+    got = act.leaky_relu(x, slope)
+    want = np.where(x > 0.0, x, slope * x)
+    nan = np.isnan(x)
+    npt.assert_array_equal(np.isnan(got), nan)
+    npt.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.inf, np.nan])
+def test_leaky_slope_outside_unit_interval_rejected(slope):
+    from minidl.layers import Dense
+
+    with pytest.raises(ValueError, match="slope must be in"):
+        act.leaky_relu(np.array([-1.0, 1.0]), slope)
+    with pytest.raises(ValueError, match="slope must be in"):
+        act.get("leaky_relu", slope=slope)
+    with pytest.raises(ValueError, match="slope must be in"):
+        Dense(3, activation="leaky_relu", leaky_slope=slope)
+
+
 def test_linear_identity():
     x = np.array([-1.0, 2.0])
     npt.assert_array_equal(act.linear(x), x)

@@ -293,6 +293,20 @@ class TestConv2DBackward:
         assert layer.backward(out).shape == (0, 5, 6, 2)
         npt.assert_array_equal(layer.grads["W"], 0.0)
 
+    def test_backward_consumes_forward_cache(self):
+        layer = conv.Conv2D(2, 3, padding="same")
+        layer.build((4, 4, 1), Rng(0))
+        x = Rng(1).normal((2, 4, 4, 1))
+        up = Rng(2).normal((2, 4, 4, 2))
+        with pytest.raises(ValueError, match="conv2d backward needs a forward"):
+            layer.backward(up)
+        layer.forward(x)
+        first = layer.backward(up).copy()
+        with pytest.raises(ValueError, match="conv2d backward needs a forward"):
+            layer.backward(up)
+        layer.forward(x)
+        npt.assert_array_equal(layer.backward(up), first)
+
     def test_preact_flag(self):
         rng = Rng(42)
         lin = conv.Conv2D(2, 2, activation="linear")

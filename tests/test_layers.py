@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from minidl import layers
+from minidl.conv import Conv2D
+from minidl.recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from minidl.tensor import Rng
 
 
@@ -326,3 +328,23 @@ class TestInitializers:
             layers.get_initializer("xavier_uniform")
         with pytest.raises(ValueError, match="unknown"):
             layers.variance_scaling("fan_sideways")
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (lambda: layers.Dense(0), "units", 0),
+        (lambda: layers.Dense(-1), "units", -1),
+        (lambda: Conv2D(0, 3), "filters", 0),
+        (lambda: Conv2D(4, 0), "kernel_size", 0),
+        (lambda: Conv2D(4, 3, stride=0), "stride", 0),
+        (lambda: SimpleRNN(0), "units", 0),
+        (lambda: LSTM(0), "units", 0),
+        (lambda: TimeDistributedDense(0), "units", 0),
+        (lambda: Embedding(0, 4), "vocab_size", 0),
+        (lambda: Embedding(10, -2), "dim", -2),
+    ],
+)
+def test_layer_sizes_below_one_rejected(make, name, value):
+    with pytest.raises(ValueError, match="%s must be at least 1, got %r" % (name, value)):
+        make()

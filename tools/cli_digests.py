@@ -9,6 +9,11 @@ paths, so no output (run.json included) depends on where OUT_DIR is.
 minidl is imported from PYTHONPATH, so the same script measures any
 checkout: two listings that ``diff`` clean mean byte-identical CLI
 outputs. The whole run takes a few seconds.
+
+The first line names the numpy version, the BLAS library and the BLAS
+thread count in effect: floating-point sums, and so the digests, can
+differ between BLAS builds and thread counts, and a diff between two
+machines then shows that cause first.
 """
 
 import contextlib
@@ -16,6 +21,8 @@ import hashlib
 import io
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
@@ -82,9 +89,24 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def environment():
+    """numpy version, BLAS name and version, and BLAS threads in effect:
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS when set, else the usable
+    cores."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    threads = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                    if os.environ.get(v)), len(os.sched_getaffinity(0)))
+    return "# numpy %s, BLAS %s %s, BLAS threads %s" % (
+        np.__version__, blas.get("name"), blas.get("version"), threads)
+
+
 def main(argv):
     if len(argv) != 2:
         raise SystemExit("usage: cli_digests.py OUT_DIR")
+    print(environment())
     os.makedirs(argv[1])
     os.chdir(argv[1])
     write_inputs()
