@@ -43,19 +43,23 @@ from . import activations
 from .layers import Layer, get_initializer, positive_int
 
 
-def _pair(v):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ValueError("expected a pair, got %r" % (v,))
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
 def _positive_pair(name, v):
-    pair = _pair(v)
+    """An int or a pair of ints as a pair, each at least 1, or
+    ValueError naming the argument."""
+    pair = tuple(v) if isinstance(v, (tuple, list)) else (v, v)
+    if len(pair) != 2:
+        raise ValueError("%s must be an int or a pair, got %r" % (name, v))
+    pair = int(pair[0]), int(pair[1])
     if min(pair) < 1:
         raise ValueError("%s must be at least 1, got %r" % (name, v))
     return pair
+
+
+def _check_image_shape(kind, input_shape):
+    if len(input_shape) != 3:
+        raise ValueError(
+            "%s expects [height, width, channels] input, got %s" % (kind, input_shape)
+        )
 
 
 def conv_output_size(n, k, stride, pad_lo, pad_hi, dilation=1):
@@ -148,11 +152,7 @@ class Conv2D(Layer):
         self._init_spec = init
 
     def build(self, input_shape, rng):
-        if len(input_shape) != 3:
-            raise ValueError(
-                "conv2d expects [height, width, channels] input, got %s"
-                % (input_shape,)
-            )
+        _check_image_shape(self.kind, input_shape)
         kh, kw = self.kernel_size
         cin = input_shape[2]
         fan_in = kh * kw * cin
@@ -250,9 +250,12 @@ class Conv2D(Layer):
 
 
 class Pool2D(Layer):
-    """Max or average pooling. Stride defaults to the pool size. Max
-    routes each upstream value to the first maximum of its window in
-    row-major scan order; average spreads it uniformly."""
+    """Max or average pooling; ``pool_size`` and ``stride`` (default: the
+    pool size) are ints or pairs, at least 1. Max pools a window holding
+    a NaN to NaN, and its backward routes each upstream value to the
+    window's first maximum in row-major scan order, or to its first NaN;
+    average spreads it uniformly. No window is copied out: each mode
+    runs over the ph*pw strided views of the input, one per cell."""
 
     kind = "pool2d"
 
@@ -260,71 +263,67 @@ class Pool2D(Layer):
         super().__init__()
         if mode not in ("max", "avg"):
             raise ValueError("pool mode must be max or avg, got %r" % (mode,))
-        self.pool_size = _pair(pool_size)
-        self.stride = _pair(stride) if stride is not None else self.pool_size
+        self.pool_size = _positive_pair("pool_size", pool_size)
+        self.stride = _positive_pair("stride", pool_size if stride is None else stride)
         self.mode = mode
 
     def build(self, input_shape, rng):
-        if len(input_shape) != 3:
-            raise ValueError(
-                "pool2d expects [height, width, channels] input, got %s"
-                % (input_shape,)
-            )
+        _check_image_shape(self.kind, input_shape)
         super().build(input_shape, rng)
 
     def out_shape(self, input_shape):
         h, w, c = input_shape
-        ph, pw = self.pool_size
-        sh, sw = self.stride
-        return (
-            conv_output_size(h, ph, sh, 0, 0),
-            conv_output_size(w, pw, sw, 0, 0),
-            c,
-        )
+        (ph, pw), (sh, sw) = self.pool_size, self.stride
+        return conv_output_size(h, ph, sh, 0, 0), conv_output_size(w, pw, sw, 0, 0), c
 
-    def _windows(self, x, oh, ow):
-        b, h, w, c = x.shape
-        ph, pw = self.pool_size
-        sh, sw = self.stride
-        win = np.empty((b, oh, ow, ph * pw, c))
+    def _views(self, x, oh, ow):
+        """View k holds cell (k // pw, k % pw) of every [oh, ow] window."""
+        (ph, pw), (sh, sw) = self.pool_size, self.stride
         for pi in range(ph):
             for pj in range(pw):
-                win[:, :, :, pi * pw + pj, :] = x[
-                    :, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :
-                ]
-        return win
+                yield x[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :]
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         oh, ow, _ = self.out_shape(x.shape[1:])
-        win = self._windows(x, oh, ow)
-        self._x_shape = x.shape
-        self._geom = (oh, ow)
+        views = self._views(x, oh, ow)
         if self.mode == "max":
-            self._arg = np.argmax(win, axis=3)  # first max wins ties
-            return np.max(win, axis=3)
-        return np.mean(win, axis=3)
+            out = next(views).copy()
+            for view in views:
+                np.maximum(out, view, out=out)
+        else:
+            # from +0.0, as np.add.reduce sums: a window of -0.0 pools to +0.0
+            out = np.zeros((x.shape[0], oh, ow, x.shape[3]))
+            for view in views:
+                out += view
+            out /= self.pool_size[0] * self.pool_size[1]
+        self._cache = (x, out)
+        return out
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        x, out = self._take_cache()
         if not input_grad:
             return None
-        oh, ow = self._geom
-        ph, pw = self.pool_size
-        sh, sw = self.stride
-        dx = np.zeros(self._x_shape)
-        if self.mode == "max":
-            for cell in range(ph * pw):
-                mask = (self._arg == cell).astype(np.float64)
-                pi, pj = divmod(cell, pw)
-                dx[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :] += (
-                    upstream * mask
-                )
-        else:
-            share = upstream / (ph * pw)
-            for cell in range(ph * pw):
-                pi, pj = divmod(cell, pw)
-                dx[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :] += share
+        oh, ow = out.shape[1:3]
+        dx = np.zeros(x.shape)
+        if self.mode == "avg":
+            share = upstream / (self.pool_size[0] * self.pool_size[1])
+            for dview in self._views(dx, oh, ow):
+                dview += share
+            return dx
+        # a NaN max equals no cell: route to the first NaN in this same
+        # pass, so each dx cell sums its terms in scan order
+        nan = np.isnan(out).any()
+        hit = np.empty(out.shape, dtype=bool)
+        taken = np.zeros(out.shape, dtype=bool)
+        for view, dview in zip(self._views(x, oh, ow), self._views(dx, oh, ow)):
+            np.equal(view, out, out=hit)
+            if nan:
+                hit |= np.isnan(view)
+            hit &= ~taken
+            taken |= hit
+            dview += upstream * hit
         return dx
 
     def hyper(self):

@@ -3,6 +3,9 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minidl import conv
 from minidl.tensor import Rng
@@ -412,3 +415,214 @@ class TestPool2D:
         layer = conv.Pool2D(2)
         layer.build((4, 4, 1), Rng(0))
         assert layer.param_count() == 0
+
+    @pytest.mark.parametrize(
+        "args,kwargs,name",
+        [
+            ((0,), {}, "pool_size"),
+            ((-1,), {}, "pool_size"),
+            (((2, 0),), {}, "pool_size"),
+            ((2,), {"stride": 0}, "stride"),
+            ((2,), {"stride": (1, -2)}, "stride"),
+        ],
+    )
+    def test_sizes_below_one_rejected(self, args, kwargs, name):
+        with pytest.raises(ValueError, match="%s must be at least 1" % name):
+            conv.Pool2D(*args, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_backward_consumes_forward_cache(self, mode):
+        layer = conv.Pool2D(2, mode=mode)
+        layer.build((4, 4, 1), Rng(0))
+        x = Rng(1).normal((2, 4, 4, 1))
+        up = Rng(2).normal((2, 2, 2, 1))
+        with pytest.raises(ValueError, match="pool2d backward needs a forward"):
+            layer.backward(up)
+        layer.forward(x)
+        first = layer.backward(up).copy()
+        with pytest.raises(ValueError, match="pool2d backward needs a forward"):
+            layer.backward(up)
+        layer.forward(x)
+        assert layer.backward(up, input_grad=False) is None
+        with pytest.raises(ValueError, match="pool2d backward needs a forward"):
+            layer.backward(up)
+        layer.forward(x)
+        npt.assert_array_equal(layer.backward(up), first)
+
+
+def windows_pool(x, pool_size, stride, mode, up):
+    """Reference pooling through a window buffer: every window is copied
+    into [b, oh, ow, ph*pw, c], then reduced with max/argmax or mean over
+    the cell axis; the argmax routes each upstream value back. Returns
+    the pooled output and the input gradient for ``up``."""
+    b, h, w, c = x.shape
+    ph, pw = pool_size
+    sh, sw = stride
+    oh = (h - ph) // sh + 1
+    ow = (w - pw) // sw + 1
+    win = np.empty((b, oh, ow, ph * pw, c))
+    for cell in range(ph * pw):
+        pi, pj = divmod(cell, pw)
+        win[:, :, :, cell, :] = x[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :]
+    dx = np.zeros(x.shape)
+    if mode == "max":
+        out = np.max(win, axis=3)
+        arg = np.argmax(win, axis=3)
+        for cell in range(ph * pw):
+            pi, pj = divmod(cell, pw)
+            mask = (arg == cell).astype(np.float64)
+            dx[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :] += up * mask
+    else:
+        out = np.mean(win, axis=3)
+        share = up / (ph * pw)
+        for cell in range(ph * pw):
+            pi, pj = divmod(cell, pw)
+            dx[:, pi : pi + sh * oh : sh, pj : pj + sw * ow : sw, :] += share
+    return out, dx
+
+
+def pool_both_ways(x, pool_size, stride, mode, up):
+    """(layer output, layer dx) and the reference's (output, dx)."""
+    layer = conv.Pool2D(pool_size, stride=stride, mode=mode)
+    layer.build(x.shape[1:], Rng(0))
+    out = layer.forward(x)
+    dx = layer.backward(up)
+    return (out, dx), windows_pool(x, layer.pool_size, layer.stride, mode, up)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# few distinct values, so that windows tie, hold both zeros, or hold NaN
+# and infinities
+POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def pool_cases(draw):
+    ph, pw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (
+        draw(st.integers(0, 3)),
+        draw(st.integers(ph, ph + 5)),  # trailing rows and columns that
+        draw(st.integers(pw, pw + 5)),  # no window reaches, at some strides
+        draw(st.integers(1, 3)),
+    )
+    values = st.one_of(st.sampled_from(POOL_VALUES), st.floats(-1e3, 1e3))
+    x = draw(hnp.arrays(np.float64, shape, elements=values))
+    oh = (shape[1] - ph) // stride[0] + 1
+    ow = (shape[2] - pw) // stride[1] + 1
+    up = draw(hnp.arrays(np.float64, (shape[0], oh, ow, shape[3]), elements=values))
+    return x, (ph, pw), stride, up
+
+
+class TestPool2DMatchesWindowReference:
+    """The output and the input gradient of both modes equal the window
+    buffer reference bit for bit."""
+
+    @given(case=pool_cases(), mode=st.sampled_from(["max", "avg"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases(self, case, mode):
+        x, pool_size, stride, up = case
+        (out, dx), (want_out, want_dx) = pool_both_ways(x, pool_size, stride, mode, up)
+        assert_same_bits(dx, want_dx)
+        if x.shape[3] > 1 or pool_size[0] * pool_size[1] < 8:
+            assert_same_bits(out, want_out)
+        elif mode == "max":
+            # numpy reduces a contiguous cell axis of 8 or more values in
+            # vector lanes, which may pick the other zero of a 0.0/-0.0 tie
+            npt.assert_array_equal(out, want_out)
+        else:
+            # ... and sums it pairwise, where the layer sums in scan order
+            scale = windows_pool(np.abs(x), pool_size, stride, mode, up)[0]
+            finite = np.isfinite(want_out)
+            assert_same_bits(out[~finite], want_out[~finite])
+            assert np.all(np.abs(out - want_out)[finite] <= 1e-12 * scale[finite])
+
+    def test_planted_ties_route_to_first_cell(self):
+        x = np.zeros((1, 4, 4, 3))
+        x[0, :2, :2, 0] = [[3.0, 3.0], [1.0, 3.0]]  # tie in cells 0, 1, 3
+        x[0, :2, 2:, 1] = [[1.0, 5.0], [5.0, 5.0]]  # tie in cells 1, 2, 3
+        x[0, 2:, :2, 2] = [[-4.0, -4.0], [-4.0, -4.0]]  # all four tie
+        up = Rng(3).normal((1, 2, 2, 3))
+        (out, dx), (want_out, want_dx) = pool_both_ways(x, 2, None, "max", up)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
+        assert dx[0, 0, 0, 0] == up[0, 0, 0, 0] and dx[0, 0, 1, 0] == 0.0
+        assert dx[0, 0, 3, 1] == up[0, 0, 1, 1] and dx[0, 1, 2, 1] == 0.0
+        assert dx[0, 2, 0, 2] == up[0, 1, 0, 2]
+
+    def test_signed_zero_windows(self):
+        # all 16 sign patterns of a 2x2 window of zeros, each over 40
+        # channels with upstream values of both signs and both zeros
+        signs = np.array(list(itertools.product([0.0, -0.0], repeat=4)))
+        x = np.repeat(signs.reshape(16, 2, 2, 1), 40, axis=3)
+        up = Rng(4).normal((16, 1, 1, 40))
+        up[:, :, :, :4] = [0.0, -0.0, 0.0, -0.0]
+        for mode in ("max", "avg"):
+            (out, dx), (want_out, want_dx) = pool_both_ways(x, 2, None, mode, up)
+            assert_same_bits(out, want_out)
+            assert_same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize(
+        "window,routed",
+        [
+            ([1.0, np.nan, np.nan, 2.0], 1),
+            ([np.nan, 7.0, np.nan, np.nan], 0),
+            ([3.0, 4.0, 5.0, np.nan], 3),
+            ([-np.inf, np.nan, np.inf, 1.0], 1),
+        ],
+    )
+    def test_nan_window_routes_to_first_nan(self, window, routed):
+        x = np.array(window).reshape(1, 2, 2, 1)
+        up = np.full((1, 1, 1, 1), 1.5)
+        (out, dx), (want_out, want_dx) = pool_both_ways(x, 2, None, "max", up)
+        assert np.isnan(out).all()
+        want = np.zeros(4)
+        want[routed] = 1.5
+        npt.assert_array_equal(dx.reshape(4), want)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize(
+        "window,routed",
+        [
+            ([-np.inf] * 4, 0),
+            ([1.0, np.inf, -np.inf, np.inf], 1),
+            ([-np.inf, -np.inf, -3.0, -np.inf], 2),
+        ],
+    )
+    def test_infinite_windows(self, window, routed):
+        x = np.array(window).reshape(1, 2, 2, 1)
+        up = np.full((1, 1, 1, 1), -2.0)
+        (out, dx), (want_out, want_dx) = pool_both_ways(x, 2, None, "max", up)
+        assert out.item() == window[routed]
+        assert dx.reshape(4)[routed] == -2.0
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize(
+        "pool_size,stride", [(3, None), (3, 1), (3, 2), ((2, 3), (1, 2)), (2, 1)]
+    )
+    def test_several_channels_and_overlaps(self, pool_size, stride):
+        rng = Rng(5)
+        x = rng.normal((2, 7, 8, 4)) * 10.0 ** rng.integers(12, 2 * 7 * 8 * 4).reshape(
+            2, 7, 8, 4
+        )
+        layer = conv.Pool2D(pool_size, stride=stride)
+        up = rng.normal((2,) + layer.out_shape((7, 8, 4)))
+        for mode in ("max", "avg"):
+            (out, dx), (want_out, want_dx) = pool_both_ways(x, pool_size, stride, mode, up)
+            assert_same_bits(out, want_out)
+            assert_same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_empty_batch(self, mode):
+        x = np.zeros((0, 5, 4, 2))
+        up = np.zeros((0, 2, 2, 2))
+        (out, dx), (want_out, want_dx) = pool_both_ways(x, 2, None, mode, up)
+        assert out.shape == (0, 2, 2, 2) and dx.shape == (0, 5, 4, 2)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)

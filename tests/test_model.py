@@ -624,13 +624,13 @@ class TestPersistence:
             load_model(str(path))
 
     @staticmethod
-    def with_manifest(tmp_path, edit):
-        """A saved Dense(1) model whose manifest ``edit`` rewrote, with the
-        checksum recomputed so that only the manifest is wrong. Returns
-        the path."""
+    def with_manifest(tmp_path, edit, layers=lambda: [Dense(1)], input_shape=(3,)):
+        """A saved model (by default Dense(1)) whose manifest ``edit``
+        rewrote, with the checksum recomputed so that only the manifest
+        is wrong. Returns the path."""
         path = tmp_path / "m.gbk"
-        m = SequentialModel([Dense(1)])
-        m.compile((3,), "mse", "sgd")
+        m = SequentialModel(layers())
+        m.compile(input_shape, "mse", "sgd")
         m.save(str(path))
         raw = path.read_bytes()[:-4]
         (mlen,) = struct.unpack("<I", raw[6:10])
@@ -653,6 +653,17 @@ class TestPersistence:
     def test_malformed_manifest_in_valid_file_rejected(self, tmp_path, edit):
         path = self.with_manifest(tmp_path, edit)
         with pytest.raises(ModelFileError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["pool_size", "stride"])
+    def test_pool_size_zero_in_valid_file_rejected(self, tmp_path, key):
+        def edit(manifest):
+            manifest["layers"][0]["hyper"][key] = [0, 0]
+
+        path = self.with_manifest(
+            tmp_path, edit, lambda: [Pool2D(2), Flatten(), Dense(1)], (4, 4, 1)
+        )
+        with pytest.raises(ModelFileError, match="layer 0 .*%s must be at least 1" % key):
             load_model(path)
 
     def test_unknown_loss_in_valid_file_rejected(self, tmp_path):
