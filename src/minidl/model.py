@@ -219,23 +219,20 @@ class SequentialModel:
                 )
         return g if input_grad else None
 
+    def _named(self, attr):
+        """Every trainable layer's ``params`` or ``grads`` entries, keyed
+        ``layer<i>/<name>``."""
+        return {
+            "layer%d/%s" % (i, k): v
+            for i, layer in enumerate(self.layers) if layer.trainable
+            for k, v in getattr(layer, attr).items()
+        }
+
     def named_params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if not layer.trainable:
-                continue
-            for k, v in layer.params.items():
-                out["layer%d/%s" % (i, k)] = v
-        return out
+        return self._named("params")
 
     def named_grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if not layer.trainable:
-                continue
-            for k, v in layer.grads.items():
-                out["layer%d/%s" % (i, k)] = v
-        return out
+        return self._named("grads")
 
     def _loss_input(self, out, loss):
         if loss.fused == "softmax":

@@ -2,8 +2,9 @@
 
 Sequence input is [batch, time, features]. Hidden state starts at zero
 for every sequence, unless inference carries it from one forward to the
-next (``_SequenceLayer._carry``; ``generate_greedy`` does so while its
-window fills). ``SimpleRNN`` and ``LSTM`` keep only the recurrence in
+next (``_SequenceLayer._carry``). ``generate_greedy`` carries a ring of
+runs, one state row each, and feeds them all the newest character as one
+input row. ``SimpleRNN`` and ``LSTM`` keep only the recurrence in
 their time loops (Appleyard, Kocisky and Blunsom 2016, "Optimizing
 Performance of Recurrent Neural Networks on GPUs"): the input projection
 ``x @ U`` for all steps is one GEMM before the forward loop, and
@@ -38,12 +39,25 @@ class _SequenceLayer(Layer):
 
     # None, or the state a forward starts from instead of zeros, (h,) or
     # (h, c), which that forward replaces with its state after the last
-    # step. Inference only: such a forward leaves no backward cache.
+    # step. Inference only: such a forward leaves no backward cache. The
+    # carry may hold more rows than the input, which then has one row,
+    # fed to every carried row (``_start``).
     _carry = None
     _n_states = 1
 
     def _zero_state(self, b):
         return tuple(np.zeros((b, self.units)) for _ in range(self._n_states))
+
+    def _start(self, proj):
+        """The input projection ``proj`` [batch, time, n] and the state a
+        forward starts from: zeros, or the carry, with a one-row
+        projection repeated over the carry's rows."""
+        if self._carry is None:
+            return proj, self._zero_state(len(proj))
+        k = len(self._carry[0])
+        if len(proj) != k:
+            proj = np.broadcast_to(proj, (k,) + proj.shape[1:]).copy()
+        return proj, self._carry
 
     def _keep(self, x, cache, state):
         """Store what backward needs, or, when carrying, the final state.
@@ -173,9 +187,8 @@ class SimpleRNN(_SequenceLayer):
         self._check_input(x)
         b, T, n_in = x.shape
         W, U, bias = self.params["W"], self.params["U"], self.params["b"]
-        pres = (x.reshape(b * T, n_in) @ U).reshape(b, T, self.units)
-        hs = np.empty((b, T, self.units))
-        (h,) = self._carry or self._zero_state(b)
+        pres, (h,) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, self.units))
+        hs = np.empty(pres.shape)
         for t in range(T):
             pre = pres[:, t]
             pre += h @ W
@@ -276,12 +289,12 @@ class LSTM(_SequenceLayer):
         u = self.units
         p = self.params
         W, U, bias = (np.concatenate([p[k + g] for g in self._FUSED], axis=-1) for k in "WUb")
-        gates = (x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u)
+        gates, (h, c) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u))
+        b = len(gates)
         gv = gates.reshape(b, T, 4, u)
         cs = np.empty((b, T, u))
         tcs = np.empty((b, T, u))
         hs = np.empty((b, T, u))
-        h, c = self._carry or self._zero_state(b)
         for t in range(T):
             g = gates[:, t]
             g += h @ W
@@ -406,17 +419,22 @@ def _carriers(model):
 def generate_greedy(model, seed_id, length, n_vocab, window=100):
     """Greedy closed-loop sampling from a next-token model.
 
-    Starts from one token id, feeds the one-hot history (clipped to the
-    trailing ``window`` steps) through the model, and appends the argmax
-    of the final timestep's distribution each round. Ties resolve to
-    the lowest id. Returns the list of length+1 ids including the seed.
+    Starts from one token id and appends, each round, the argmax of the
+    model's distribution after the one-hot history clipped to the
+    trailing ``window`` steps, as if rerun from a zero state. Ties
+    resolve to the lowest id. Returns the list of length+1 ids including
+    the seed.
 
-    While the history is shorter than the window, a model whose every
-    layer can carry recurrent state is fed only the newest step, from
-    the state the previous call left (Graves 2013, arXiv:1308.0850):
-    the recurrence a rerun from zero would compute, up to the rounding
-    of the input projections. Once the window is full, each step reruns
-    the trailing ``window`` steps from a zero state. Either way
+    When every layer can carry recurrent state, the model runs as a ring
+    of runs, one carried state row each, oldest first. A run starts at
+    each position p whose output will be read: p = 0, or p + window - 1
+    < length. Every live run takes in the newest character, fed to
+    ``model.predict`` as one row, so each character costs one recurrent
+    step over at most ``window`` rows. The oldest run has read exactly
+    the clipped history: its output is the prediction, and after
+    ``window`` steps it retires. This is the recurrence a rerun from
+    zero computes, up to the rounding of the GEMMs. Other models rerun
+    the clipped history for every character. Either way
     ``model.predict`` sees one row per character.
     """
     if window < 1:
@@ -424,19 +442,34 @@ def generate_greedy(model, seed_id, length, n_vocab, window=100):
     if length < 0:
         raise ValueError("length must be at least 0, got %d" % length)
     ids = [int(seed_id)]
-    history = np.zeros((1, length + 1, n_vocab))
+    if not 0 <= ids[0] < n_vocab:
+        raise ValueError("seed_id must be in [0, %d), got %d" % (n_vocab, ids[0]))
     carriers = _carriers(model)
-    for layer in carriers:
-        layer._carry = layer._zero_state(1)
-    try:
+    if not carriers:
+        history = np.zeros((1, length + 1, n_vocab))
         for i in range(length):
             history[0, i, ids[-1]] = 1.0
-            if i == window:
-                for layer in carriers:
-                    layer._carry = None
-            lo = i if carriers and i < window else max(0, i - (window - 1))
+            lo = max(0, i - (window - 1))
             probs = model.predict(history[:, lo : i + 1, :])[0]
             ids.append(int(np.argmax(probs[-1])))
+        return ids
+    try:
+        for layer in carriers:
+            layer._carry = layer._zero_state(0)
+        for i in range(length):
+            if i == 0 or i + window <= length:
+                # a run whose output will be read starts here
+                for layer in carriers:
+                    layer._carry = tuple(
+                        np.concatenate((s, z)) for s, z in zip(layer._carry, layer._zero_state(1))
+                    )
+            x = np.zeros((1, 1, n_vocab))
+            x[0, 0, ids[-1]] = 1.0
+            ids.append(int(np.argmax(model.predict(x)[0, -1])))
+            if i >= window - 1:
+                # the oldest run has read its window
+                for layer in carriers:
+                    layer._carry = tuple(s[1:] for s in layer._carry)
     finally:
         for layer in carriers:
             layer._carry = None

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minidl import activations, recurrent
 from minidl.data import build_char_dataset
@@ -489,6 +491,24 @@ def test_carried_state_continues_a_forward(kind, return_sequences):
         layer.backward(np.ones_like(tail))
 
 
+@pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+def test_carried_forward_feeds_one_input_row_to_every_carried_row(kind):
+    cls = recurrent.LSTM if kind == "lstm" else recurrent.SimpleRNN
+    layer = cls(5, return_sequences=True)
+    layer.build((2, 4), Rng(0))
+    x = Rng(1).normal((1, 2, 4))
+    carry = tuple(Rng(2 + j).normal((3, 5)) for j in range(layer._n_states))
+    layer._carry = carry
+    want = layer.forward(np.repeat(x, 3, axis=0))
+    want_carry = layer._carry
+    layer._carry = carry
+    got = layer.forward(x)
+    assert got.shape == (3, 2, 5)
+    npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for g, w in zip(layer._carry, want_carry):
+        npt.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
 class TestTimeDistributedDense:
     def test_equals_reshaped_dense(self):
         rng = Rng(31)
@@ -582,6 +602,13 @@ class TestGenerateGreedy:
             recurrent.generate_greedy(_Stub(3), 0, -2, 3)
         assert recurrent.generate_greedy(_Stub(3), 2, 0, 3) == [2]
 
+    @pytest.mark.parametrize("seed_id", [-1, 3, 7])
+    def test_rejects_seed_id_outside_the_vocabulary(self, seed_id):
+        model = _Stub(3)
+        with pytest.raises(ValueError, match="seed_id"):
+            recurrent.generate_greedy(model, seed_id, 5, 3)
+        assert model.seen == []
+
 
 CHAR_TEXT = "the quick brown fox jumps over the lazy dog. " * 6
 
@@ -630,6 +657,43 @@ def record_predict(model, monkeypatch):
     return seen
 
 
+def greedy_with_probs(generate, model, *args, **kwargs):
+    """The ids ``generate`` returns, and the distribution each generated
+    id was chosen from: row 0's last step of each ``predict``."""
+    probs = []
+    predict = model.predict
+
+    def recording(x):
+        out = predict(x)
+        probs.append(out[0, -1].copy())
+        return out
+
+    model.predict = recording
+    try:
+        return generate(model, *args, **kwargs), probs
+    finally:
+        del model.predict
+
+
+def assert_same_as_rerun(model, seed_id, length, n_vocab, window):
+    want, want_probs = greedy_with_probs(rerun_greedy, model, seed_id, length, n_vocab, window)
+    got, got_probs = greedy_with_probs(
+        recurrent.generate_greedy, model, seed_id, length, n_vocab, window=window
+    )
+    assert got == want
+    assert len(got_probs) == len(want_probs) == length
+    for g, w in zip(got_probs, want_probs):
+        npt.assert_allclose(g, w, rtol=1e-12, atol=0)
+    assert carries(model) == [None] * len(model.layers)
+    return got
+
+
+def ring_rows(i, length, window):
+    """How many runs are live at character i: those started at 0, or at
+    p with p + window - 1 < length, and not yet retired."""
+    return sum(1 for p in range(max(0, i - window + 1), i + 1) if p == 0 or p + window <= length)
+
+
 class TestGenerateCarried:
     @pytest.mark.parametrize("window", [6, 40])
     def test_ids_match_the_rerun(self, char_lstm, window, monkeypatch):
@@ -638,19 +702,35 @@ class TestGenerateCarried:
         assert len(set(want)) > 8
         seen = record_predict(model, monkeypatch)
         assert recurrent.generate_greedy(model, 3, 30, n_vocab, window=window) == want
-        # one row per character, one step per character until the window is full
-        assert [b for b, _, _ in seen] == [1] * 30
-        assert [t for _, t, _ in seen] == [1 if i < window else window for i in range(30)]
+        # one row and one step per character, before and past a full window
+        assert seen == [(1, 1, n_vocab)] * 30
         assert carries(model) == [None] * 5
 
-    def test_carries_cleared_when_predict_raises(self, char_lstm, monkeypatch):
+    @pytest.mark.parametrize("window,length", [(1, 12), (30, 30), (31, 30), (100, 30)])
+    def test_probabilities_match_the_rerun(self, char_lstm, window, length):
         model, n_vocab = char_lstm
+        assert_same_as_rerun(model, 3, length, n_vocab, window)
+
+    @pytest.mark.parametrize("window,length", [(1, 9), (4, 4), (4, 13), (6, 30), (40, 30)])
+    def test_ring_holds_only_runs_still_to_be_read(self, char_lstm, window, length, monkeypatch):
+        model, n_vocab = char_lstm
+        rows = []
+        predict = model.predict
+        monkeypatch.setattr(
+            model, "predict", lambda x: rows.append(len(model.layers[0]._carry[0])) or predict(x)
+        )
+        recurrent.generate_greedy(model, 0, length, n_vocab, window=window)
+        assert rows == [ring_rows(i, length, window) for i in range(length)]
+        assert max(rows) <= window
+
+    @staticmethod
+    def raise_at_call(model, n_vocab, monkeypatch, fail_at):
         calls = []
         predict = model.predict
 
         def failing(x):
             calls.append(x.shape)
-            if len(calls) == 3:
+            if len(calls) == fail_at:
                 assert carries(model)[0] is not None
                 raise RuntimeError("boom")
             return predict(x)
@@ -660,6 +740,12 @@ class TestGenerateCarried:
             recurrent.generate_greedy(model, 0, 10, n_vocab, window=5)
         assert carries(model) == [None] * 5
 
+    def test_carries_cleared_when_predict_raises(self, char_lstm, monkeypatch):
+        self.raise_at_call(*char_lstm, monkeypatch, fail_at=3)
+
+    def test_carries_cleared_when_predict_raises_past_the_window(self, char_lstm, monkeypatch):
+        self.raise_at_call(*char_lstm, monkeypatch, fail_at=8)
+
     def test_last_step_only_layer_keeps_the_rerun(self, monkeypatch):
         model = SequentialModel([recurrent.LSTM(4), Dense(3, activation="softmax")], seed=1)
         model.compile((5, 3), "categorical_crossentropy", "sgd")
@@ -667,3 +753,32 @@ class TestGenerateCarried:
         seen = record_predict(model, monkeypatch)
         assert recurrent.generate_greedy(model, 1, 8, 3, window=4) == want
         assert [t for _, t, _ in seen] == [1, 2, 3, 4, 4, 4, 4, 4]
+
+    @given(
+        kind=st.sampled_from(["lstm", "tanh", "relu"]),
+        depth=st.integers(1, 2),
+        units=st.integers(1, 6),
+        n_vocab=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1.0, 3.0]),
+        window=st.integers(1, 6),
+        length=st.integers(0, 15),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ring_matches_the_rerun(self, kind, depth, units, n_vocab, seed, scale, window,
+                                    length, data):
+        layers = []
+        for _ in range(depth):
+            if kind == "lstm":
+                layers.append(recurrent.LSTM(units, return_sequences=True))
+            else:
+                layers.append(recurrent.SimpleRNN(units, activation=kind, return_sequences=True))
+            layers.append(Dropout(0.3))
+        layers.append(recurrent.TimeDistributedDense(n_vocab, activation="softmax"))
+        model = SequentialModel(layers, seed=seed)
+        model.compile((window, n_vocab), "categorical_crossentropy", "sgd")
+        # larger weights give livelier, less repetitive id sequences
+        model.flat_params *= scale
+        seed_id = data.draw(st.integers(0, n_vocab - 1))
+        assert_same_as_rerun(model, seed_id, length, n_vocab, window)

@@ -66,6 +66,13 @@ COMMANDS = [
                             "--seed-char", "q"]),
     ("generate-stacked", ["generate", "--model", "runs/charlstm-stacked/model.gbk",
                           "--length", "40", "--window", "10"]),
+    # windows well below the length: most characters come past a full window
+    ("generate-window8", ["generate", "--model", "runs/charrnn/model.gbk", "--length", "40",
+                          "--window", "8"]),
+    ("generate-stacked-window8", ["generate", "--model", "runs/charlstm-stacked/model.gbk",
+                                  "--length", "40", "--window", "8"]),
+    ("generate-window1", ["generate", "--model", "runs/charlstm/model.gbk", "--length", "20",
+                          "--window", "1"]),
     ("gan", ["gan", "--data", "train-images.idx", "train-labels.idx", "--epochs", "1",
              "--limit", "128", "--batch-size", "64", "--sample-every", "1", "--seed", "4"]),
 ]
