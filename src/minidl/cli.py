@@ -533,7 +533,7 @@ def build_parser():
     )
     p.add_argument("--data", nargs="+", required=True, help="task data paths")
     p.add_argument("--epochs", type=_at_least(1), required=True)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_at_least(1), default=None)
     p.add_argument("--optimizer", default=None, help="sgd, momentum, adam, ...")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--val-split", type=float, default=None)
@@ -541,14 +541,14 @@ def build_parser():
     p.add_argument("--out", default="runs/train")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--no-header", action="store_true", help="CSV has no header row")
-    p.add_argument("--limit-train", type=int, default=0)
-    p.add_argument("--limit-test", type=int, default=0)
-    p.add_argument("--seq-length", type=int, default=None)
-    p.add_argument("--units", type=int, default=800)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--num-words", type=int, default=5000)
-    p.add_argument("--maxlen", type=int, default=500)
-    p.add_argument("--embed-dim", type=int, default=32)
+    p.add_argument("--limit-train", type=_at_least(0), default=0)
+    p.add_argument("--limit-test", type=_at_least(0), default=0)
+    p.add_argument("--seq-length", type=_at_least(1), default=None)
+    p.add_argument("--units", type=_at_least(1), default=800)
+    p.add_argument("--layers", type=_at_least(0), default=2)
+    p.add_argument("--num-words", type=_at_least(1), default=5000)
+    p.add_argument("--maxlen", type=_at_least(1), default=500)
+    p.add_argument("--embed-dim", type=_at_least(1), default=32)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="greedy sampling from a character model")
@@ -567,12 +567,12 @@ def build_parser():
     p = sub.add_parser("gan", help="adversarial training on IDX images")
     p.add_argument("--data", nargs=2, required=True, metavar=("IMAGES", "LABELS"))
     p.add_argument("--epochs", type=_at_least(1), required=True)
-    p.add_argument("--latent-dim", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--sample-every", type=int, default=20)
+    p.add_argument("--latent-dim", type=_at_least(1), default=10)
+    p.add_argument("--batch-size", type=_at_least(1), default=128)
+    p.add_argument("--sample-every", type=_at_least(1), default=20)
     p.add_argument("--lr", type=float, default=0.0002)
     p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/gan")
     p.set_defaults(fn=cmd_gan)

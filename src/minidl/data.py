@@ -243,21 +243,19 @@ def build_char_dataset(text, seq_length, vocab=None):
     Returns (X, Y, vocab) with X[i] the one-hot window starting at
     i*seq_length and Y[i] the same window shifted right by one
     character. When the shifted window runs past the end of the text
-    its missing tail stays all-zero.
+    its missing tail stays all-zero. A character of those windows that
+    a passed ``vocab`` lacks raises ``ValueError``.
     """
     if vocab is None:
         vocab = CharVocab.from_text(text)
     n_vocab = len(vocab)
     n_seq = len(text) // seq_length
+    n = n_seq * seq_length
+    ids = np.asarray(vocab.encode(text[: n + 1]), dtype=np.int64)
     X = np.zeros((n_seq, seq_length, n_vocab))
     Y = np.zeros((n_seq, seq_length, n_vocab))
-    for i in range(n_seq):
-        xs = text[i * seq_length : (i + 1) * seq_length]
-        ys = text[i * seq_length + 1 : (i + 1) * seq_length + 1]
-        for t, c in enumerate(xs):
-            X[i, t, vocab.char_to_id[c]] = 1.0
-        for t, c in enumerate(ys):
-            Y[i, t, vocab.char_to_id[c]] = 1.0
+    X.reshape(n, n_vocab)[np.arange(n), ids[:n]] = 1.0
+    Y.reshape(n, n_vocab)[np.arange(len(ids) - 1), ids[1:]] = 1.0
     return X, Y, vocab
 
 

@@ -104,6 +104,8 @@ class GanTrainer:
         with one entry per round. The sample hook fires after epoch 1
         and every ``sample_hook_every`` epochs with (epoch, samples).
         """
+        if sample_hook_every < 1:
+            raise ValueError("sample_hook_every must be at least 1, got %d" % sample_hook_every)
         real_data = np.asarray(real_data, dtype=np.float64)
         n = real_data.shape[0]
         batch_count = n // self.batch_size

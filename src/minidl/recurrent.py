@@ -2,17 +2,17 @@
 
 Sequence input is [batch, time, features]. Hidden state starts at zero
 for every sequence, unless inference carries it from one forward to the
-next (``_SequenceLayer._carry``). ``generate_greedy`` carries a ring of
-runs, one state row each, and feeds them all the newest character as one
-input row. ``SimpleRNN`` and ``LSTM`` keep only the recurrence in
-their time loops (Appleyard, Kocisky and Blunsom 2016, "Optimizing
-Performance of Recurrent Neural Networks on GPUs"): the input projection
-``x @ U`` for all steps is one GEMM before the forward loop, and
-backpropagation through time leaves ``dW``, ``dU``, ``db`` and ``dx`` to
-one GEMM or sum each after the backward loop. Backward overwrites the
-per-step tensors that ``forward`` cached, so each forward serves one
-backward; a second backward, or one after a carried forward, raises
-``ValueError``.
+next (``_SequenceLayer._carry``). ``generate_greedy`` runs every model
+on one path: a ring of runs, one state row each in every recurrent
+layer, all fed the newest character as one input row. ``SimpleRNN``
+and ``LSTM`` keep only the recurrence in their time loops (Appleyard,
+Kocisky and Blunsom 2016, "Optimizing Performance of Recurrent Neural
+Networks on GPUs"): the input projection ``x @ U`` for all steps is one
+GEMM before the forward loop, and backpropagation through time leaves
+``dW``, ``dU``, ``db`` and ``dx`` to one GEMM or sum each after the
+backward loop. Backward overwrites the per-step tensors that ``forward``
+cached, so each forward serves one backward; a second backward, or one
+after a carried forward, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-from .layers import Dense, Dropout, Layer, get_initializer, positive_int
+from .layers import Dense, Layer, get_initializer, positive_int
 
 
 def _previous(seq):
@@ -403,19 +403,6 @@ class TimeDistributedDense(_SequenceLayer):
         return {"units": self.units, "activation": self._dense.activation.name}
 
 
-def _carriers(model):
-    """The recurrent layers of ``model`` when every layer can run one
-    step at a time on a carried state (a sequence-returning SimpleRNN or
-    LSTM, Dropout, TimeDistributedDense); otherwise an empty list."""
-    recurrent = []
-    for layer in getattr(model, "layers", ()):
-        if isinstance(layer, (SimpleRNN, LSTM)) and layer.return_sequences:
-            recurrent.append(layer)
-        elif not isinstance(layer, (Dropout, TimeDistributedDense)):
-            return []
-    return recurrent
-
-
 def generate_greedy(model, seed_id, length, n_vocab, window=100):
     """Greedy closed-loop sampling from a next-token model.
 
@@ -425,17 +412,20 @@ def generate_greedy(model, seed_id, length, n_vocab, window=100):
     resolve to the lowest id. Returns the list of length+1 ids including
     the seed.
 
-    When every layer can carry recurrent state, the model runs as a ring
-    of runs, one carried state row each, oldest first. A run starts at
-    each position p whose output will be read: p = 0, or p + window - 1
-    < length. Every live run takes in the newest character, fed to
-    ``model.predict`` as one row, so each character costs one recurrent
-    step over at most ``window`` rows. The oldest run has read exactly
-    the clipped history: its output is the prediction, and after
-    ``window`` steps it retires. This is the recurrence a rerun from
-    zero computes, up to the rounding of the GEMMs. Other models rerun
-    the clipped history for every character. Either way
-    ``model.predict`` sees one row per character.
+    The model runs as a ring of runs, one carried state row in every
+    SimpleRNN and LSTM of ``model.layers``, oldest first. A run starts
+    at each position p whose output will be read: p = 0, or p + window -
+    1 < length. Every live run takes in the newest character, fed to
+    ``model.predict`` as one [1, 1, n_vocab] row, so each character
+    costs one recurrent step over at most ``window`` rows. The oldest
+    run has read exactly the clipped history: its output (row 0, at the
+    last step when the model returns sequences) is the prediction, and
+    after ``window`` steps it retires. This is the recurrence a rerun
+    from zero computes, up to the rounding of the GEMMs. The layers that
+    take such input in inference (Dropout, TimeDistributedDense, and
+    after a last-step layer Dense and BatchNorm) work per step or per
+    row, so a model without a recurrent layer predicts from the newest
+    character alone.
     """
     if window < 1:
         raise ValueError("window must be at least 1, got %d" % window)
@@ -444,15 +434,7 @@ def generate_greedy(model, seed_id, length, n_vocab, window=100):
     ids = [int(seed_id)]
     if not 0 <= ids[0] < n_vocab:
         raise ValueError("seed_id must be in [0, %d), got %d" % (n_vocab, ids[0]))
-    carriers = _carriers(model)
-    if not carriers:
-        history = np.zeros((1, length + 1, n_vocab))
-        for i in range(length):
-            history[0, i, ids[-1]] = 1.0
-            lo = max(0, i - (window - 1))
-            probs = model.predict(history[:, lo : i + 1, :])[0]
-            ids.append(int(np.argmax(probs[-1])))
-        return ids
+    carriers = [layer for layer in model.layers if isinstance(layer, (SimpleRNN, LSTM))]
     try:
         for layer in carriers:
             layer._carry = layer._zero_state(0)
@@ -465,7 +447,7 @@ def generate_greedy(model, seed_id, length, n_vocab, window=100):
                     )
             x = np.zeros((1, 1, n_vocab))
             x[0, 0, ids[-1]] = 1.0
-            ids.append(int(np.argmax(model.predict(x)[0, -1])))
+            ids.append(int(np.argmax(np.atleast_2d(model.predict(x)[0])[-1])))
             if i >= window - 1:
                 # the oldest run has read its window
                 for layer in carriers:

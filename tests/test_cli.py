@@ -515,13 +515,30 @@ class TestParser:
         assert "--epochs: must be at least 1, got %s" % epochs in capsys.readouterr().err
         assert not out.exists()
 
+    COMMANDS = {
+        "generate": ["generate", "--model", "model.gbk"],
+        "train": ["train", "--task", "charrnn", "--data", "corpus.txt", "--epochs", "1"],
+        "gan": ["gan", "--data", "images.idx", "labels.idx", "--epochs", "1"],
+    }
+
     @pytest.mark.parametrize(
-        "flag, value, least", [("--window", "0", 1), ("--window", "-3", 1), ("--length", "-2", 0)]
+        "flag, value, least",
+        [
+            ("--window", "0", 1), ("--window", "-3", 1), ("--length", "-2", 0),
+            *[("train " + f, "0", 1) for f in ("--batch-size", "--units", "--seq-length",
+                                               "--num-words", "--maxlen", "--embed-dim")],
+            *[("train " + f, "-1", 0) for f in ("--layers", "--limit-train", "--limit-test")],
+            ("train --seq-length", "-3", 1),
+            *[("gan " + f, "0", 1) for f in ("--sample-every", "--batch-size", "--latent-dim")],
+            ("gan --limit", "-1", 0),
+        ],
     )
     def test_generate_rejects_out_of_range_counts(self, tmp_path, capsys, flag, value, least):
+        # a flag of another subcommand than generate is prefixed with it
+        command, _, flag = flag.rpartition(" ")
         out = tmp_path / "gen"
         with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "--model", "model.gbk", flag, value, "--out", str(out)])
+            cli.main(self.COMMANDS[command or "generate"] + [flag, value, "--out", str(out)])
         assert exc.value.code == 2
         assert "%s: must be at least %d, got %s" % (flag, least, value) in capsys.readouterr().err
         assert not out.exists()

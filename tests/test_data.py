@@ -230,6 +230,35 @@ class TestBuildCharDataset:
         assert vocab is big
         assert X.shape == (2, 2, 8)
 
+    @staticmethod
+    def loop_reference(text, seq_length, vocab):
+        """The dataset filled one character at a time."""
+        n_seq = len(text) // seq_length
+        X = np.zeros((n_seq, seq_length, len(vocab)))
+        Y = np.zeros((n_seq, seq_length, len(vocab)))
+        for i in range(n_seq):
+            xs = text[i * seq_length : (i + 1) * seq_length]
+            ys = text[i * seq_length + 1 : (i + 1) * seq_length + 1]
+            for t, c in enumerate(xs):
+                X[i, t, vocab.char_to_id[c]] = 1.0
+            for t, c in enumerate(ys):
+                Y[i, t, vocab.char_to_id[c]] = 1.0
+        return X, Y
+
+    @pytest.mark.parametrize("length", [0, 1, 4, 27, 28, 30, 31, 400])
+    @pytest.mark.parametrize("seq_length", [1, 4, 7])
+    def test_matches_the_loop_reference(self, length, seq_length):
+        text = (self.TEXT * 15)[:length]
+        X, Y, vocab = data.build_char_dataset(text, seq_length)
+        want_X, want_Y = self.loop_reference(text, seq_length, vocab)
+        assert X.shape == want_X.shape and Y.shape == want_Y.shape
+        assert X.tobytes() == want_X.tobytes()
+        assert Y.tobytes() == want_Y.tobytes()
+
+    def test_character_missing_from_vocab_named(self):
+        with pytest.raises(ValueError, match="'z' is not in the vocabulary"):
+            data.build_char_dataset("abzab", 2, vocab=data.CharVocab.from_text("ab"))
+
 
 class TestCleanText:
     def test_strips_punctuation_and_short_words(self):

@@ -282,6 +282,14 @@ class TestTrainLoop:
         assert [c[0] for c in calls] == [1, 2, 4]
         assert all(c[1] == (100, 3) for c in calls)
 
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_sample_hook_every_below_one_rejected(self, every):
+        trainer = GanTrainer(tiny_generator(), tiny_discriminator(), 2, SGD(0.1), SGD(0.1),
+                             batch_size=4)
+        with pytest.raises(ValueError, match="sample_hook_every must be at least 1, got %d"
+                           % every):
+            trainer.train(Rng(1).uniform((8, 1)), epochs=2, sample_hook_every=every)
+
 
 class TestSample:
     def test_plain_output_keeps_shape(self):

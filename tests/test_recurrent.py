@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from minidl import activations, recurrent
 from minidl.data import build_char_dataset
-from minidl.layers import Dense, Dropout
+from minidl.layers import BatchNorm, Dense, Dropout
 from minidl.model import SequentialModel
 from minidl.tensor import Rng
 
@@ -559,6 +559,7 @@ class _Stub:
     def __init__(self, n):
         self.n = n
         self.seen = []
+        self.layers = []
 
     def predict(self, x):
         self.seen.append(x.shape)
@@ -583,11 +584,13 @@ class TestGenerateGreedy:
     def test_window_clips_history(self):
         model = _Stub(4)
         recurrent.generate_greedy(model, 0, 8, 4, window=3)
-        lengths = [shape[1] for shape in model.seen]
-        assert lengths == [1, 2, 3, 3, 3, 3, 3, 3]
+        # the window clips the carried runs; predict sees the newest row
+        assert model.seen == [(1, 1, 4)] * 8
 
     def test_ties_resolve_to_lowest_id(self):
         class Flat:
+            layers = []
+
             def predict(self, x):
                 return np.full(x.shape, 0.25)
 
@@ -632,6 +635,11 @@ def char_lstm():
     return model, len(vocab)
 
 
+def last_row(out):
+    """Row 0's distribution: its last step for sequence output."""
+    return out[0, -1] if out.ndim == 3 else out[0]
+
+
 def rerun_greedy(model, seed_id, length, n_vocab, window):
     """generate_greedy as first written: every character reruns the
     trailing window from a zero state."""
@@ -640,8 +648,7 @@ def rerun_greedy(model, seed_id, length, n_vocab, window):
     for i in range(length):
         history[0, i, ids[-1]] = 1.0
         lo = max(0, i - (window - 1))
-        probs = model.predict(history[:, lo : i + 1, :])[0]
-        ids.append(int(np.argmax(probs[-1])))
+        ids.append(int(np.argmax(last_row(model.predict(history[:, lo : i + 1, :])))))
     return ids
 
 
@@ -659,13 +666,13 @@ def record_predict(model, monkeypatch):
 
 def greedy_with_probs(generate, model, *args, **kwargs):
     """The ids ``generate`` returns, and the distribution each generated
-    id was chosen from: row 0's last step of each ``predict``."""
+    id was chosen from: row 0 (at its last step) of each ``predict``."""
     probs = []
     predict = model.predict
 
     def recording(x):
         out = predict(x)
-        probs.append(out[0, -1].copy())
+        probs.append(last_row(out).copy())
         return out
 
     model.predict = recording
@@ -746,17 +753,22 @@ class TestGenerateCarried:
     def test_carries_cleared_when_predict_raises_past_the_window(self, char_lstm, monkeypatch):
         self.raise_at_call(*char_lstm, monkeypatch, fail_at=8)
 
-    def test_last_step_only_layer_keeps_the_rerun(self, monkeypatch):
-        model = SequentialModel([recurrent.LSTM(4), Dense(3, activation="softmax")], seed=1)
-        model.compile((5, 3), "categorical_crossentropy", "sgd")
-        want = rerun_greedy(model, 1, 8, 3, 4)
+    @pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+    def test_last_step_only_model_matches_the_rerun(self, kind, monkeypatch):
+        cls = recurrent.LSTM if kind == "lstm" else recurrent.SimpleRNN
+        model = SequentialModel([cls(8), Dense(5, activation="softmax")], seed=1)
+        model.compile((6, 5), "categorical_crossentropy", "sgd")
+        model.flat_params *= 3.0
+        ids = assert_same_as_rerun(model, 1, 25, 5, 6)
+        assert len(set(ids)) > 2
         seen = record_predict(model, monkeypatch)
-        assert recurrent.generate_greedy(model, 1, 8, 3, window=4) == want
-        assert [t for _, t, _ in seen] == [1, 2, 3, 4, 4, 4, 4, 4]
+        recurrent.generate_greedy(model, 1, 25, 5, window=6)
+        assert seen == [(1, 1, 5)] * 25
 
     @given(
         kind=st.sampled_from(["lstm", "tanh", "relu"]),
         depth=st.integers(1, 2),
+        head=st.sampled_from(["time_distributed", "dense", "batchnorm"]),
         units=st.integers(1, 6),
         n_vocab=st.integers(2, 6),
         seed=st.integers(0, 2**16),
@@ -766,16 +778,25 @@ class TestGenerateCarried:
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_ring_matches_the_rerun(self, kind, depth, units, n_vocab, seed, scale, window,
+    def test_ring_matches_the_rerun(self, kind, depth, head, units, n_vocab, seed, scale, window,
                                     length, data):
         layers = []
-        for _ in range(depth):
+        for d in range(depth):
+            # a last-step head reads only the top recurrent layer's last step
+            sequences = head == "time_distributed" or d < depth - 1
             if kind == "lstm":
-                layers.append(recurrent.LSTM(units, return_sequences=True))
+                layers.append(recurrent.LSTM(units, return_sequences=sequences))
             else:
-                layers.append(recurrent.SimpleRNN(units, activation=kind, return_sequences=True))
+                layers.append(
+                    recurrent.SimpleRNN(units, activation=kind, return_sequences=sequences)
+                )
             layers.append(Dropout(0.3))
-        layers.append(recurrent.TimeDistributedDense(n_vocab, activation="softmax"))
+        if head == "time_distributed":
+            layers.append(recurrent.TimeDistributedDense(n_vocab, activation="softmax"))
+        else:
+            if head == "batchnorm":
+                layers.append(BatchNorm())
+            layers.append(Dense(n_vocab, activation="softmax"))
         model = SequentialModel(layers, seed=seed)
         model.compile((window, n_vocab), "categorical_crossentropy", "sgd")
         # larger weights give livelier, less repetitive id sequences

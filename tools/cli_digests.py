@@ -57,6 +57,8 @@ COMMANDS = [
     ("charlstm-val", ["train", "--task", "charlstm", *CHAR, "--val-split", "0.5"]),
     # the later --layers wins
     ("charlstm-stacked", ["train", "--task", "charlstm", *CHAR, "--layers", "2"]),
+    # no recurrent layer: a TimeDistributedDense bigram model
+    ("charrnn-layers0", ["train", "--task", "charrnn", *CHAR, "--layers", "0"]),
     ("sentiment", ["train", "--task", "sentiment", "--data", "reviews.tsv", "--epochs", "2",
                    "--batch-size", "8", "--num-words", "50", "--maxlen", "8",
                    "--embed-dim", "8", "--units", "8"]),
@@ -73,6 +75,8 @@ COMMANDS = [
                                   "--length", "40", "--window", "8"]),
     ("generate-window1", ["generate", "--model", "runs/charlstm/model.gbk", "--length", "20",
                           "--window", "1"]),
+    ("generate-layers0-window8", ["generate", "--model", "runs/charrnn-layers0/model.gbk",
+                                  "--length", "40", "--window", "8"]),
     ("gan", ["gan", "--data", "train-images.idx", "train-labels.idx", "--epochs", "1",
              "--limit", "128", "--batch-size", "64", "--sample-every", "1", "--seed", "4"]),
 ]
