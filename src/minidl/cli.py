@@ -512,7 +512,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True, help="step size")
     p.add_argument("--x0", type=float, default=6.0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=_at_least(0), default=1000)
     p.add_argument("--out", default="runs/gd")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gd)
@@ -520,7 +520,7 @@ def build_parser():
     p = sub.add_parser("perceptron", help="perceptron on a logic gate")
     p.add_argument("--gate", choices=sorted(GATES), required=True)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/perceptron")
     p.set_defaults(fn=cmd_perceptron)

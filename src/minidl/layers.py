@@ -4,8 +4,9 @@ Each layer caches what its own backward pass needs during forward, so
 training code is just forward, loss gradient, backward, optimizer step.
 ``build`` gives each trainable parameter a gradient array of its shape
 in ``self.grads``, keyed like ``self.params``. A parameter is changed by
-writing into it, never by rebinding its entry: once a model is
-compiled, both dicts hold views into the model's flat parameter and
+writing into it, never by rebinding its entry: an entry may be a view
+of a larger storage block (``Layer.storage``), and once a model is
+compiled both dicts hold views into the model's flat parameter and
 gradient vectors.
 
 The backward contract, shared by every layer in the library::
@@ -124,6 +125,17 @@ class Layer:
         self.grads = (
             {k: np.zeros_like(p) for k, p in self.params.items()} if self.trainable else {}
         )
+
+    def storage(self):
+        """The arrays this layer's parameters and their gradients live
+        in, as two dicts keyed alike: by default ``params`` and ``grads``
+        themselves. ``SequentialModel._flatten`` replaces their entries
+        with views of the model's flat vectors, then calls ``_bind``."""
+        return self.params, self.grads
+
+    def _bind(self):
+        """Point ``params`` and ``grads`` at the arrays ``storage`` now
+        holds. Nothing to do when they are those arrays."""
 
     def out_shape(self, input_shape):
         return tuple(input_shape)

@@ -150,23 +150,28 @@ class SequentialModel:
 
     def _flatten(self):
         """Move the trainable parameters into one vector, ``flat_params``,
-        with their gradients in a second, ``flat_grads``, both in
-        ``named_params`` order: every ``params`` and ``grads`` entry of a
-        trainable layer becomes a view of its slice."""
-        entries = [(layer, k) for layer in self.layers if layer.trainable
-                   for k in layer.params]
-        total = sum(layer.params[k].size for layer, k in entries)
+        with their gradients in a second, ``flat_grads``. The storage
+        blocks of each trainable layer (``Layer.storage``, by default its
+        ``params`` and ``grads`` entries) become views of consecutive
+        slices, in layer order, and the layer rebinds its named arrays to
+        them. So every ``params`` and ``grads`` entry is a view into the
+        two vectors, possibly a column view of a block (the LSTM gates),
+        and writing into it reaches the vector the optimizer steps."""
+        layers = [layer for layer in self.layers if layer.trainable]
+        total = sum(p.size for layer in layers for p in layer.storage()[0].values())
         self.flat_params = np.empty(total)
         self.flat_grads = np.zeros(total)
         lo = 0
-        for layer, k in entries:
-            shape = layer.params[k].shape
-            hi = lo + layer.params[k].size
-            view = self.flat_params[lo:hi].reshape(shape)
-            view[...] = layer.params[k]
-            layer.params[k] = view
-            layer.grads[k] = self.flat_grads[lo:hi].reshape(shape)
-            lo = hi
+        for layer in layers:
+            params, grads = layer.storage()
+            for k, p in params.items():
+                hi = lo + p.size
+                view = self.flat_params[lo:hi].reshape(p.shape)
+                view[...] = p
+                params[k] = view
+                grads[k] = self.flat_grads[lo:hi].reshape(p.shape)
+                lo = hi
+            layer._bind()
 
     def _resolve_metric(self, name):
         if name in ("accuracy", "acc"):

@@ -237,7 +237,7 @@ class LSTM(_SequenceLayer):
 
     Gates (f forget, i input, o output) use the sigmoid; the candidate
     a uses tanh. Each of the four has its own recurrent matrix W, input
-    matrix U, and bias b, stored as the 12 parameters ``Wf, Uf, bf, Wi,
+    matrix U, and bias b, named as the 12 parameters ``Wf, Uf, bf, Wi,
     ..., bo`` in gate order f, i, a, o:
 
         f_t = sigmoid(h_{t-1} @ Wf + x_t @ Uf + bf)
@@ -247,14 +247,18 @@ class LSTM(_SequenceLayer):
         c_t = f_t * c_{t-1} + i_t * a_t
         h_t = o_t * tanh(c_t)
 
-    Each call joins the 12 arrays into W [units, 4*units], U [features,
-    4*units] and b [4*units] in the fused order f, i, o, a, which puts
-    the three sigmoid gates side by side. Nothing aliases the parameters,
-    so a write such as ``params["bf"][:] = 500`` acts on the next call.
-    Forward fills a [batch, time, 4*units] gate buffer with ``x @ U``;
-    each step adds ``h @ W`` and b to its slice and overwrites it with
-    the gate values. Backward overwrites each step's gate values with
-    the gate deltas and does one recurrent GEMM per step.
+    The four gates are stored fused (Appleyard, Kocisky and Blunsom
+    2016): three blocks W [units, 4*units], U [features, 4*units] and b
+    [4*units] in the gate order f, i, o, a, which puts the three sigmoid
+    gates side by side, and gradient blocks of the same shapes. The 12
+    named parameters and gradients are column views of those blocks
+    (``storage``), so a write such as ``params["bf"][:] = 500`` acts on
+    the next call. Forward fills a [batch, time, 4*units] gate buffer
+    with ``x @ U``; each step adds ``h @ W`` and b to its slice and
+    overwrites it with the gate values. Backward overwrites each step's
+    gate values with the gate deltas, does one recurrent GEMM per step,
+    and reads the live W and U, as ``Dense`` and ``Conv2D`` do, not a
+    copy taken at forward time.
     """
 
     kind = "lstm"
@@ -274,21 +278,35 @@ class LSTM(_SequenceLayer):
                 "lstm expects [time, features] input, got shape %s" % (input_shape,)
             )
         n_in = input_shape[1]
+        u = self.units
         init = get_initializer(self._init_spec)
-        self.params = {}
+        self._blocks = {
+            "W": np.empty((u, 4 * u)), "U": np.empty((n_in, 4 * u)), "b": np.zeros(4 * u),
+        }
+        self._grad_blocks = {k: np.zeros_like(v) for k, v in self._blocks.items()}
+        self._bind()
         for g in self.GATES:
-            self.params["W" + g] = init((self.units, self.units), rng, self.units, self.units)
-            self.params["U" + g] = init((n_in, self.units), rng, n_in, self.units)
-            self.params["b" + g] = np.zeros(self.units)
-        super().build(input_shape, rng)
+            self.params["W" + g][...] = init((u, u), rng, u, u)
+            self.params["U" + g][...] = init((n_in, u), rng, n_in, u)
+        self.input_shape = tuple(input_shape)
+
+    def storage(self):
+        return self._blocks, self._grad_blocks
+
+    def _bind(self):
+        u = self.units
+        cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
+        for g in self.GATES:
+            for key in "WUb":
+                self.params[key + g] = self._blocks[key][..., cols[g]]
+                self.grads[key + g] = self._grad_blocks[key][..., cols[g]]
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         b, T, n_in = x.shape
         u = self.units
-        p = self.params
-        W, U, bias = (np.concatenate([p[k + g] for g in self._FUSED], axis=-1) for k in "WUb")
+        W, U, bias = self._blocks["W"], self._blocks["U"], self._blocks["b"]
         gates, (h, c) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u))
         b = len(gates)
         gv = gates.reshape(b, T, 4, u)
@@ -304,14 +322,15 @@ class LSTM(_SequenceLayer):
             f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
             c = np.add(f * c, i * a, out=cs[:, t])
             h = np.multiply(o, np.tanh(c, out=tcs[:, t]), out=hs[:, t])
-        self._keep(x, (W, U, gates, cs, tcs, hs), (h, c))
+        self._keep(x, (gates, cs, tcs, hs), (h, c))
         return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        W, U, gates, cs, tcs, hs = self._take_cache()
+        gates, cs, tcs, hs = self._take_cache()
         x = self._x
         b, T, n_in = x.shape
         u = self.units
+        W, U = self._blocks["W"], self._blocks["U"]
         up = self._upstream_sequence(upstream, T)
         gv = gates.reshape(b, T, 4, u)
         zeros = np.zeros((b, u))
@@ -334,14 +353,10 @@ class LSTM(_SequenceLayer):
                 carry_h = gates[:, t] @ W.T
         d2 = gates.reshape(b * T, 4 * u)
         if param_grads:
-            fused = {
-                "W": _previous(hs).reshape(b * T, u).T @ d2,
-                "U": x.reshape(b * T, n_in).T @ d2,
-                "b": d2.sum(axis=0),
-            }
-            cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
-            for key, grad in self.grads.items():
-                grad[...] = fused[key[0]][..., cols[key[1]]]
+            dW, dU, db = (self._grad_blocks[k] for k in "WUb")
+            np.matmul(_previous(hs).reshape(b * T, u).T, d2, out=dW)
+            np.matmul(x.reshape(b * T, n_in).T, d2, out=dU)
+            np.sum(d2, axis=0, out=db)
         return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
 
     def hyper(self):

@@ -91,15 +91,17 @@ def _fd_layer(layer, x, up, rtol, train=False, check_input=True, eps=1e-6):
         return float(np.sum(layer.forward(x, train=train) * up))
 
     for name, arr in layer.params.items():
-        flat = arr.reshape(-1)
-        fd = np.zeros(flat.size)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
+        # perturbed through ``arr`` itself, element by element in C order:
+        # a parameter may be a strided view (the LSTM gates are columns of
+        # one block), whose reshape(-1) is a copy
+        fd = np.zeros(arr.size)
+        for i, at in enumerate(np.ndindex(arr.shape)):
+            keep = arr[at]
+            arr[at] = keep + eps
             hi = objective()
-            flat[i] = keep - eps
+            arr[at] = keep - eps
             lo = objective()
-            flat[i] = keep
+            arr[at] = keep
             fd[i] = (hi - lo) / (2 * eps)
         npt.assert_allclose(
             analytic[name].reshape(-1), fd, rtol=rtol, atol=1e-8, err_msg=name

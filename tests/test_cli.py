@@ -49,6 +49,14 @@ class TestGd:
         assert "does not converge" in printed
         assert "iteration budget exhausted" in printed
 
+    def test_zero_iterations_evaluate_the_start_only(self, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        rc = cli.main(["gd", "--alpha", "0.1", "--x0", "6", "--max-iter", "0", "--out", out])
+        assert rc == 0
+        assert "within 0 iterations" in capsys.readouterr().out
+        with open(os.path.join(out, "trace.csv")) as f:
+            assert f.read().splitlines()[1:] == ["0,6.0,21.0"]
+
     def test_overshooting_step_reports_growth(self, tmp_path, capsys):
         rc = cli.main(["gd", "--alpha", "1.01", "--out", str(tmp_path / "r")])
         assert rc == 0
@@ -504,8 +512,9 @@ class TestParser:
         [
             ["train", "--task", "mlp-tabular", "--data", "table.csv"],
             ["gan", "--data", "images.idx", "labels.idx"],
+            ["perceptron", "--gate", "or"],
         ],
-        ids=["train", "gan"],
+        ids=["train", "gan", "perceptron"],
     )
     def test_epochs_below_one_rejected(self, tmp_path, capsys, argv, epochs):
         out = tmp_path / "run"
@@ -519,6 +528,7 @@ class TestParser:
         "generate": ["generate", "--model", "model.gbk"],
         "train": ["train", "--task", "charrnn", "--data", "corpus.txt", "--epochs", "1"],
         "gan": ["gan", "--data", "images.idx", "labels.idx", "--epochs", "1"],
+        "gd": ["gd", "--alpha", "0.1"],
     }
 
     @pytest.mark.parametrize(
@@ -531,6 +541,7 @@ class TestParser:
             ("train --seq-length", "-3", 1),
             *[("gan " + f, "0", 1) for f in ("--sample-every", "--batch-size", "--latent-dim")],
             ("gan --limit", "-1", 0),
+            ("gd --max-iter", "-1", 0),
         ],
     )
     def test_generate_rejects_out_of_range_counts(self, tmp_path, capsys, flag, value, least):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from minidl import model as model_mod
 from minidl.conv import Conv2D, Pool2D
-from minidl.layers import BatchNorm, Dense, Dropout, Flatten
+from minidl.layers import BatchNorm, Dense, Dropout, Flatten, get_initializer
 from minidl.model import (
     History,
     ModelFileError,
@@ -302,8 +302,12 @@ class TestFit:
 
 
 def assert_flat_views(m):
-    """Every trainable ``params`` and ``grads`` entry is a view of its
-    slice of the model's two vectors, laid out in ``named_params`` order."""
+    """The storage blocks of the trainable layers (``Layer.storage``) tile
+    the model's two vectors in layer order. Where a layer's blocks are its
+    ``params`` and ``grads`` entries, each entry is a view of its slice,
+    laid out in ``named_params`` order. An LSTM's blocks are C-contiguous
+    views of their slices, and each of its 12 named arrays is exactly its
+    gate's columns of its block, in the fused gate order f, i, o, a."""
     params, grads = m.named_params(), m.named_grads()
     assert list(params) == list(grads)
     assert m.flat_params.size == m.flat_grads.size == sum(p.size for p in params.values())
@@ -312,13 +316,39 @@ def assert_flat_views(m):
         return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
 
     lo = 0
-    for name, p in params.items():
-        g = grads[name]
-        assert g.shape == p.shape, name
-        assert p.flags.c_contiguous and g.flags.c_contiguous, name
-        assert np.shares_memory(p, m.flat_params) and offset(p, m.flat_params) == 8 * lo, name
-        assert np.shares_memory(g, m.flat_grads) and offset(g, m.flat_grads) == 8 * lo, name
-        lo += p.size
+    for i, layer in enumerate(m.layers):
+        if not layer.trainable:
+            continue
+        blocks, grad_blocks = layer.storage()
+        if blocks is layer.params:
+            assert grad_blocks is layer.grads
+            for name, p in params.items():
+                if not name.startswith("layer%d/" % i):
+                    continue
+                g = grads[name]
+                assert g.shape == p.shape, name
+                assert p.flags.c_contiguous and g.flags.c_contiguous, name
+                assert np.shares_memory(p, m.flat_params) and offset(p, m.flat_params) == 8 * lo, name
+                assert np.shares_memory(g, m.flat_grads) and offset(g, m.flat_grads) == 8 * lo, name
+                lo += p.size
+            continue
+        assert isinstance(layer, LSTM)
+        assert list(blocks) == list(grad_blocks) == ["W", "U", "b"]
+        u = layer.units
+        for key, block in blocks.items():
+            grad_block = grad_blocks[key]
+            assert block.shape == grad_block.shape and block.shape[-1] == 4 * u, key
+            assert block.flags.c_contiguous and grad_block.flags.c_contiguous, key
+            assert offset(block, m.flat_params) == offset(grad_block, m.flat_grads) == 8 * lo
+            assert np.shares_memory(block, m.flat_params), key
+            assert np.shares_memory(grad_block, m.flat_grads), key
+            for arrays, base in ((layer.params, block), (layer.grads, grad_block)):
+                for k, gate in enumerate("fioa"):
+                    view, cols = arrays[key + gate], base[..., k * u : (k + 1) * u]
+                    assert view.shape == cols.shape and view.strides == cols.strides, key + gate
+                    assert offset(view, base) == offset(cols, base), key + gate
+            lo += block.size
+    assert lo == m.flat_params.size
 
 
 def flat_models():
@@ -394,6 +424,49 @@ class TestFlatBuffers:
         h = m.predict(X)[0, :, 0]
         assert h[0] == pytest.approx(np.tanh(np.tanh(2.0)), rel=1e-12)
         assert all(v == h[0] for v in h[1:])
+
+    def test_lstm_file_bytes_and_reload_unchanged(self, tmp_path):
+        # the 12 gates go to the file as their own arrays, by name, holding
+        # what the per-gate initialization drew in the order f, i, a, o
+        m = SequentialModel([Embedding(9, 4), LSTM(3), Dense(2, activation="softmax")], seed=5)
+        m.compile((5,), "categorical_crossentropy", "adam")
+        rng, init = Rng(5), get_initializer("glorot")
+        drawn = {"layer0/W": rng.uniform((9, 4), low=-0.05, high=0.05)}
+        for g in "fiao":
+            drawn["layer1/W" + g] = init((3, 3), rng, 3, 3)
+            drawn["layer1/U" + g] = init((4, 3), rng, 4, 3)
+            drawn["layer1/b" + g] = np.zeros(3)
+        drawn["layer2/W"] = init((3, 2), rng, 3, 2)
+        drawn["layer2/b"] = np.zeros(2)
+        path = tmp_path / "m.gbk"
+        m.save(str(path))
+        assert path.read_bytes() == gbk1_bytes(m.manifest(), sorted(drawn.items()))
+        # after a step the values move and each named view is still written whole
+        m.train_on_batch(Rng(6).integers(9, 10).reshape(2, 5), np.eye(2))
+        m.save(str(path))
+        raw = path.read_bytes()
+        assert raw == gbk1_bytes(m.manifest(), sorted(m.named_params().items()))
+        loaded = load_model(str(path))
+        assert_flat_views(loaded)
+        for name, p in m.named_params().items():
+            assert loaded.named_params()[name].tobytes() == p.tobytes(), name
+        again = tmp_path / "again.gbk"
+        loaded.save(str(again))
+        assert again.read_bytes() == raw
+
+
+def gbk1_bytes(manifest, arrays):
+    """A GBK1 file laid out as the ``minidl.model`` docstring says, from
+    the manifest and (name, array) pairs in file order."""
+    body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    parts = [b"GBK1", struct.pack("<HI", 1, len(body)), body]
+    for name, arr in arrays:
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", arr.ndim)]
+        parts += [struct.pack("<I", d) for d in arr.shape]
+        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    payload = b"".join(parts)
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 class TestHistory:

@@ -32,17 +32,18 @@ def fd_grads(layer, x, up, eps=1e-5):
         num[i] = (hi - lo) / (2 * eps)
     out["x"] = num.reshape(x.shape)
     for name, p in layer.params.items():
-        pflat = p.reshape(-1)
-        pnum = np.zeros_like(pflat)
-        for i in range(pflat.size):
-            orig = pflat[i]
-            pflat[i] = orig + eps
+        # perturbed through ``p`` itself: the LSTM gates are strided
+        # views, whose reshape(-1) is a copy
+        pnum = np.zeros(p.shape)
+        for at in np.ndindex(p.shape):
+            orig = p[at]
+            p[at] = orig + eps
             hi = loss()
-            pflat[i] = orig - eps
+            p[at] = orig - eps
             lo = loss()
-            pflat[i] = orig
-            pnum[i] = (hi - lo) / (2 * eps)
-        out[name] = pnum.reshape(p.shape)
+            p[at] = orig
+            pnum[at] = (hi - lo) / (2 * eps)
+        out[name] = pnum
     return out
 
 
@@ -507,6 +508,146 @@ def test_carried_forward_feeds_one_input_row_to_every_carried_row(kind):
     npt.assert_allclose(got, want, rtol=1e-12, atol=0)
     for g, w in zip(layer._carry, want_carry):
         npt.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+class ConcatLSTM(recurrent.LSTM):
+    """LSTM forward and backward as minidl computed them before the gates
+    were stored fused: each call joins the 12 named arrays into W, U and
+    b with ``np.concatenate``, the sigmoid takes two exps, and backward
+    copies each gate's columns of the fused gradients into that gate's
+    named gradient."""
+
+    def forward(self, x, train=False):
+        x = np.asarray(x, dtype=np.float64)
+        self._check_input(x)
+        b, T, n_in = x.shape
+        u = self.units
+        p = self.params
+        W, U, bias = (np.concatenate([p[k + g] for g in self._FUSED], axis=-1) for k in "WUb")
+        gates, (h, c) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u))
+        b = len(gates)
+        gv = gates.reshape(b, T, 4, u)
+        cs = np.empty((b, T, u))
+        tcs = np.empty((b, T, u))
+        hs = np.empty((b, T, u))
+        for t in range(T):
+            g = gates[:, t]
+            g += h @ W
+            g += bias
+            z = g[:, : 3 * u]
+            g[:, : 3 * u] = np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+            np.tanh(g[:, 3 * u :], out=g[:, 3 * u :])
+            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
+            c = np.add(f * c, i * a, out=cs[:, t])
+            h = np.multiply(o, np.tanh(c, out=tcs[:, t]), out=hs[:, t])
+        self._keep(x, (W, U, gates, cs, tcs, hs), (h, c))
+        return hs if self.return_sequences else h
+
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        W, U, gates, cs, tcs, hs = self._take_cache()
+        x = self._x
+        b, T, n_in = x.shape
+        u = self.units
+        up = self._upstream_sequence(upstream, T)
+        gv = gates.reshape(b, T, 4, u)
+        zeros = np.zeros((b, u))
+        carry_h = carry_c = zeros
+        for t in range(T - 1, -1, -1):
+            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
+            tc = tcs[:, t]
+            c_prev = cs[:, t - 1] if t else zeros
+            dh = up[:, t] + carry_h
+            dc = dh * o * (1.0 - tc * tc) + carry_c
+            carry_c = dc * f
+            d_i = dc * a * i * (1.0 - i)
+            d_a = dc * i * (1.0 - a * a)
+            o *= dh * tc * (1.0 - o)
+            f *= dc * c_prev * (1.0 - f)
+            i[...] = d_i
+            a[...] = d_a
+            if t:
+                carry_h = gates[:, t] @ W.T
+        d2 = gates.reshape(b * T, 4 * u)
+        if param_grads:
+            fused = {
+                "W": recurrent._previous(hs).reshape(b * T, u).T @ d2,
+                "U": x.reshape(b * T, n_in).T @ d2,
+                "b": d2.sum(axis=0),
+            }
+            cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
+            for key, grad in self.grads.items():
+                grad[...] = fused[key[0]][..., cols[key[1]]]
+        return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
+
+
+def outcome(call):
+    """``call()``'s result, or the type and message of what it raised."""
+    try:
+        return "returned", call()
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return "raised", (type(e), str(e))
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised" or want[1] is None:
+        assert got[1] == want[1]
+    else:
+        assert got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    units=st.integers(1, 6), n_in=st.integers(1, 5), T=st.integers(0, 7),
+    batch=st.integers(0, 3), sequences=st.booleans(), input_grad=st.booleans(),
+    param_grads=st.booleans(), compiled=st.booleans(), carried=st.integers(0, 4),
+    scale=st.sampled_from([0.5, 1.0, 4.0]), seed=st.integers(0, 2**16),
+)
+def test_fused_storage_matches_the_concatenating_lstm(
+    units, n_in, T, batch, sequences, input_grad, param_grads, compiled, carried, scale, seed
+):
+    layer = recurrent.LSTM(units, return_sequences=sequences)
+    ref = ConcatLSTM(units, return_sequences=sequences)
+    if compiled:
+        model = SequentialModel([layer], seed=seed)
+        model.compile((max(T, 1), n_in), "mse", "sgd")
+        blocks, grad_blocks = layer.storage()
+        # forward and backward read and write the model's vectors in place
+        for block in blocks.values():
+            assert np.shares_memory(block, model.flat_params)
+        for block in grad_blocks.values():
+            assert np.shares_memory(block, model.flat_grads)
+    else:
+        layer.build((max(T, 1), n_in), Rng(seed))
+    ref.build((max(T, 1), n_in), Rng(seed))
+    rng = Rng(seed + 1)
+    for name, p in ref.params.items():
+        # the same init draws, then distinct nonzero values in every gate
+        assert layer.params[name].tobytes() == p.tobytes(), name
+        p[...] = rng.normal(p.shape, std=scale)
+        layer.params[name][...] = p
+    x = rng.normal((batch, T, n_in), std=scale)
+    if carried:
+        # one ring call: k carried rows, all fed the same one input row
+        state = tuple(rng.normal((carried, units)) for _ in range(2))
+        x = rng.normal((1, T, n_in), std=scale)
+        layer._carry, ref._carry = state, tuple(s.copy() for s in state)
+        assert_same_bits(outcome(lambda: layer.forward(x)), outcome(lambda: ref.forward(x)))
+        for got, want in zip(layer._carry, ref._carry):
+            assert got.tobytes() == want.tobytes()
+        return
+    assert_same_bits(outcome(lambda: layer.forward(x)), outcome(lambda: ref.forward(x)))
+    up = rng.normal((batch,) + layer.out_shape((T, n_in)))
+    for grads in (layer.grads, ref.grads):
+        for g in grads.values():
+            g[...] = 7.0  # what param_grads=False must leave alone
+    kw = {"input_grad": input_grad, "param_grads": param_grads}
+    assert_same_bits(outcome(lambda: layer.backward(up, **kw)),
+                     outcome(lambda: ref.backward(up, **kw)))
+    assert list(layer.grads) == list(ref.grads)
+    for name, want in ref.grads.items():
+        assert layer.grads[name].tobytes() == want.tobytes(), name
 
 
 class TestTimeDistributedDense:

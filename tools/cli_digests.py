@@ -75,6 +75,9 @@ COMMANDS = [
                                   "--length", "40", "--window", "8"]),
     ("generate-window1", ["generate", "--model", "runs/charlstm/model.gbk", "--length", "20",
                           "--window", "1"]),
+    # the benchmark's shape: the ring runs past a full window through one LSTM
+    ("generate-lstm-window10", ["generate", "--model", "runs/charlstm/model.gbk",
+                                "--length", "40", "--window", "10"]),
     ("generate-layers0-window8", ["generate", "--model", "runs/charrnn-layers0/model.gbk",
                                   "--length", "40", "--window", "8"]),
     ("gan", ["gan", "--data", "train-images.idx", "train-labels.idx", "--epochs", "1",
