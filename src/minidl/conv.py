@@ -9,30 +9,32 @@ follows
 
 with "valid" padding meaning zero and "same" meaning output size
 ceil(in / stride), any odd padding overhang going to the bottom/right
-edge.
+edge. Conv2D takes input in either memory order; its outputs and input
+gradients are [b, h, w, c] arrays over channel-major [c, b, h, w]
+memory (``np.ascontiguousarray`` gives C order).
 
 Both directions run through one routine, ``_correlate``. The padded
-batch [b, hp, wp, c] is read as b*hp*wp rows of c values, so a kernel
-tap (ki, kj) is a shift of ki*dh*wp + kj*dw rows. The rows are lowered
-along the kernel width only: row r of the lowered matrix holds input
-rows r, r + dw, ..., r + (kw - 1)*dw side by side, kw times the input
-rather than the kh*kw times of a full patch matrix (im2col). Each
-kernel row then adds one GEMM over a shifted contiguous slice of it.
-Output rows whose window straddles the right or bottom edge of an
-image (the last (kw - 1)*dw columns and (kh - 1)*dh rows of the padded
-grid) are dropped; a stride above one is computed at stride one and
-subsampled.
+batch [c, b, hp, wp] is read as c rows of b*hp*wp values, so a kernel
+tap (ki, kj) is a shift of ki*dh*wp + kj*dw columns. Block kj of the
+width-lowered matrix holds the rows shifted by kj*dw columns: kw times
+the input rather than the kh*kw times of a full patch matrix (im2col).
+Each kernel row then adds one [f, kw*c] @ [kw*c, n] GEMM over a
+column-shifted slice of it, read in place, with the long axis as the
+GEMM's contiguous output dimension (the orientation of Chetlur et al.
+2014, arXiv:1410.0759). Output columns whose window straddles the
+right or bottom edge of an image (the last (kw - 1)*dw columns and
+(kh - 1)*dh rows of the padded grid) are dropped; a stride above one is
+computed at stride one and subsampled.
 
-Forward caches the kw-lowered padded input, and backward consumes that
-cache, so each forward serves one backward. Backward takes the weight
-gradient of kernel row ki as one GEMM of that cached matrix, shifted
-by ki*dh*wp rows, against the upstream gradient laid out on the same
-stride-one row grid (zeros at dropped and skipped positions). The input
-gradient is a full correlation: the same routine applied to that grid,
-preceded by (kh - 1)*dh*wp + (kw - 1)*dw zero rows, with the flipped,
-transposed kernel W[::-1, ::-1].transpose(0, 1, 3, 2). Shifts that run
-off the start of an image row or image read dropped positions, which
-hold zeros.
+Forward caches the kw-lowered padded input for the one backward that
+consumes it. Backward takes the weight gradient of kernel row ki as one
+GEMM of that matrix, shifted by ki*dh*wp columns, against the upstream
+gradient on the same stride-one grid (zeros at dropped and skipped
+positions). The input gradient is a full correlation: the same routine
+applied to that grid, after (kh - 1)*dh*wp + (kw - 1)*dw zero columns,
+with the flipped, transposed kernel W[::-1, ::-1].transpose(0, 1, 3, 2).
+Shifts that run off the start of an image row or image read dropped
+positions, which hold zeros.
 """
 
 from __future__ import annotations
@@ -87,45 +89,39 @@ def _resolve_padding(padding, n, k, stride, dilation):
     return p, p
 
 
-def _lower_rows(rows, kw, dw):
-    """[n, c] contiguous rows to [n - (kw - 1)*dw, kw*c]: row r is rows
-    r, r + dw, ..., r + (kw - 1)*dw laid side by side."""
-    n, c = rows.shape
-    m = max(n - (kw - 1) * dw, 0)
-    step = rows.strides[0]
-    taps = np.lib.stride_tricks.as_strided(
-        rows, (m, kw, c), (step, dw * step, rows.strides[1]), writeable=False
-    )
-    # a copy: with dw == 1 the reshape alone would be an overlapping view,
-    # which matmul cannot hand to BLAS
-    return np.ascontiguousarray(taps).reshape(m, kw * c)
+def _to_channel_major(dst, x):
+    """Copy ``x`` [b, h, w, c] into ``dst`` [c, b, h, w] a sample at a time:
+    for C-ordered [32, 28, 28, 32] three times faster than in one copy."""
+    for i in range(len(x)):
+        dst[:, i] = x[i].transpose(2, 0, 1)
 
 
 def _correlate(rows, width, kernel, dilation):
-    """Correlate row-flattened images of row length ``width`` with
-    ``kernel`` [kh, kw, c, f]:
+    """Correlate ``rows`` [c, n], each channel's images flattened at row
+    length ``width``, with ``kernel`` [kh, kw, c, f]:
 
-        out[r] = sum over ki, kj of rows[r + ki*dh*width + kj*dw] @ kernel[ki, kj]
+        out[:, r] = sum over ki, kj of kernel[ki, kj].T @ rows[:, r + ki*dh*width + kj*dw]
 
-    ``out`` has one row per input row; the last (kh - 1)*dh*width +
-    (kw - 1)*dw rows, whose taps would run past the end, are zero.
-    Returns ``out`` and the width-lowered rows."""
+    ``out`` [f, n] has one column per input column; the last
+    (kh - 1)*dh*width + (kw - 1)*dw columns, whose taps would run past
+    the end, are zero. Returns ``out`` and the width-lowered rows."""
     kh, kw, c, f = kernel.shape
     dh, dw = dilation
-    lowered = _lower_rows(rows, kw, dw)
-    n = rows.shape[0]
-    n_out = max(n - (kh - 1) * dh * width - (kw - 1) * dw, 0)
-    out = np.empty((n, f))
-    out[n_out:] = 0.0
-    part = np.empty((n_out, f))
+    n = rows.shape[1]
+    m = max(n - (kw - 1) * dw, 0)
+    lowered = np.concatenate([rows[:, kj * dw : kj * dw + m] for kj in range(kw)])
+    n_out = max(m - (kh - 1) * dh * width, 0)
+    out = np.empty((f, n))
+    out[:, n_out:] = 0.0
+    part = np.empty((f, n_out))
     for ki in range(kh):
         lo = ki * dh * width
-        wk = kernel[ki].reshape(kw * c, f)
+        wk = kernel[ki].reshape(kw * c, f).T
         if ki == 0:
-            np.matmul(lowered[:n_out], wk, out=out[:n_out])
+            np.matmul(wk, lowered[:, :n_out], out=out[:, :n_out])
         else:
-            np.matmul(lowered[lo : lo + n_out], wk, out=part)
-            out[:n_out] += part
+            np.matmul(wk, lowered[:, lo : lo + n_out], out=part)
+            out[:, :n_out] += part
     return out, lowered
 
 
@@ -189,14 +185,16 @@ class Conv2D(Layer):
         sh, sw = self.stride
         geom = self._geometry(h, w)
         pt, pb, pl, pr, oh, ow = geom
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        _, hp, wp, _ = xp.shape
+        hp, wp = h + pt + pb, w + pl + pr
+        xp = np.zeros((cin, b, hp, wp))
+        _to_channel_major(xp[:, :, pt : pt + h, pl : pl + w], x)
         out, lowered = _correlate(
-            xp.reshape(b * hp * wp, cin), wp, self.params["W"], self.dilation
+            xp.reshape(cin, b * hp * wp), wp, self.params["W"], self.dilation
         )
-        out = out.reshape(b, hp, wp, self.filters)
-        self._cache = (lowered, xp.shape, geom)
-        self._pre = out[:, : oh * sh : sh, : ow * sw : sw] + self.params["b"]
+        out = out.reshape(self.filters, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw]
+        self._cache = (lowered, (b, hp, wp, cin), geom)
+        # a [b, oh, ow, f] view; the sum keeps its channel-major order
+        self._pre = out.transpose(1, 2, 3, 0) + self.params["b"]
         self._out = self.activation.fn(self._pre)
         return self._out
 
@@ -209,19 +207,22 @@ class Conv2D(Layer):
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
+        f = self.filters
         n = b * hp * wp
         lead = (kh - 1) * dh * wp + (kw - 1) * dw
-        # upstream gradient on the stride-one row grid, after lead zero rows
-        grid = np.zeros((lead + n, self.filters))
-        placed = grid[lead:]
-        placed.reshape(b, hp, wp, self.filters)[:, : oh * sh : sh, : ow * sw : sw] = delta
+        # upstream gradient on the stride-one grid, after lead zero columns
+        grid = np.zeros((f, lead + n))
+        placed = grid[:, lead:]
+        _to_channel_major(
+            placed.reshape(f, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw], delta
+        )
         if param_grads:
-            valid = placed[: n - lead]
-            dW = self.grads["W"].reshape(kh, kw * cin, self.filters)
+            valid = placed[:, : n - lead].T
+            dW = self.grads["W"].reshape(kh, kw * cin, f)
             for ki in range(kh):
                 lo = ki * dh * wp
-                np.matmul(lowered[lo : lo + n - lead].T, valid, out=dW[ki])
-            np.sum(delta.reshape(-1, self.filters), axis=0, out=self.grads["b"])
+                np.matmul(lowered[:, lo : lo + n - lead], valid, out=dW[ki])
+            np.sum(placed, axis=1, out=self.grads["b"])
         # free the forward's lowered input before the input gradient
         # lowers its own
         del lowered
@@ -230,9 +231,8 @@ class Conv2D(Layer):
         W = self.params["W"]
         flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
         dxp, _ = _correlate(grid, wp, flipped, self.dilation)
-        h = hp - pt - pb
-        w = wp - pl - pr
-        return dxp[:n].reshape(b, hp, wp, cin)[:, pt : pt + h, pl : pl + w, :]
+        dxp = dxp[:, :n].reshape(cin, b, hp, wp)[:, :, pt : hp - pb, pl : wp - pr]
+        return dxp.transpose(1, 2, 3, 0)
 
     def hyper(self):
         return {

@@ -185,6 +185,9 @@ class SimpleRNN(_SequenceLayer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
+        # drop the last call's cache before allocating this call's, so
+        # two batches' buffers are never alive at once
+        self._cache = None
         b, T, n_in = x.shape
         W, U, bias = self.params["W"], self.params["U"], self.params["b"]
         pres, (h,) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, self.units))
@@ -304,6 +307,7 @@ class LSTM(_SequenceLayer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
+        self._cache = None  # as in SimpleRNN.forward
         b, T, n_in = x.shape
         u = self.units
         W, U, bias = self._blocks["W"], self._blocks["U"], self._blocks["b"]

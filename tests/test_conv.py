@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from minidl import conv
+from minidl import cli, conv
+from minidl.model import SequentialModel
 from minidl.tensor import Rng
 
 
@@ -76,42 +77,33 @@ def direct_conv_backward(x, w, up, stride, padding, dilation):
 
 def assert_rel_close(got, want, rel=1e-12):
     """Largest absolute difference within ``rel`` of the largest
-    reference magnitude."""
+    reference magnitude (equal arrays for an all-zero reference)."""
     assert got.shape == want.shape
-    err = np.max(np.abs(got - want))
-    assert err <= rel * np.max(np.abs(want)), err
+    if want.size:
+        err = np.max(np.abs(got - want))
+        assert err <= rel * np.max(np.abs(want)), err
 
 
 def fd_grads(layer, x, up, eps=1e-6):
     """Central-difference gradients of L = sum(forward(x) * up) for the
-    input and every parameter."""
+    input and every parameter. Each array is perturbed through itself,
+    element by element: the reshape(-1) of a strided array is a copy,
+    which the perturbation would not reach."""
     def loss():
         return np.sum(layer.forward(x) * up)
 
     out = {}
-    flat = x.reshape(-1)
-    num = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = loss()
-        flat[i] = orig - eps
-        lo = loss()
-        flat[i] = orig
-        num[i] = (hi - lo) / (2 * eps)
-    out["x"] = num.reshape(x.shape)
-    for name, p in layer.params.items():
-        pflat = p.reshape(-1)
-        pnum = np.zeros_like(pflat)
-        for i in range(pflat.size):
-            orig = pflat[i]
-            pflat[i] = orig + eps
+    for name, arr in [("x", x)] + list(layer.params.items()):
+        num = np.zeros(arr.shape)
+        for at in np.ndindex(arr.shape):
+            orig = arr[at]
+            arr[at] = orig + eps
             hi = loss()
-            pflat[i] = orig - eps
+            arr[at] = orig - eps
             lo = loss()
-            pflat[i] = orig
-            pnum[i] = (hi - lo) / (2 * eps)
-        out[name] = pnum.reshape(p.shape)
+            arr[at] = orig
+            num[at] = (hi - lo) / (2 * eps)
+        out[name] = num
     return out
 
 
@@ -330,6 +322,211 @@ class TestConv2DBackward:
         layer.build((8, 9, 2), Rng(7))
         x = Rng(3).normal((1, 8, 9, 2))
         npt.assert_array_equal(layer.forward(x), rebuilt.forward(x))
+
+
+def lower_rows_rowmajor(rows, kw, dw):
+    """[n, c] contiguous rows to [n - (kw - 1)*dw, kw*c]: row r is rows
+    r, r + dw, ..., r + (kw - 1)*dw laid side by side."""
+    n, c = rows.shape
+    m = max(n - (kw - 1) * dw, 0)
+    step = rows.strides[0]
+    taps = np.lib.stride_tricks.as_strided(
+        rows, (m, kw, c), (step, dw * step, rows.strides[1]), writeable=False
+    )
+    return np.ascontiguousarray(taps).reshape(m, kw * c)
+
+
+def correlate_rowmajor(rows, width, kernel, dilation):
+    """Row-major correlation: ``rows`` [n, c] are the padded batch
+    [b, hp, wp, c] read as rows of c values, and out [n, f] has one row
+    per input row, zero where the taps would run past the end."""
+    kh, kw, c, f = kernel.shape
+    dh, dw = dilation
+    lowered = lower_rows_rowmajor(rows, kw, dw)
+    n = rows.shape[0]
+    n_out = max(n - (kh - 1) * dh * width - (kw - 1) * dw, 0)
+    out = np.empty((n, f))
+    out[n_out:] = 0.0
+    part = np.empty((n_out, f))
+    for ki in range(kh):
+        lo = ki * dh * width
+        wk = kernel[ki].reshape(kw * c, f)
+        if ki == 0:
+            np.matmul(lowered[:n_out], wk, out=out[:n_out])
+        else:
+            np.matmul(lowered[lo : lo + n_out], wk, out=part)
+            out[:n_out] += part
+    return out, lowered
+
+
+class RowMajorConv2D(conv.Conv2D):
+    """The layer as it was before it went channel-major: the padded batch
+    as [b*hp*wp, c] rows and every GEMM as [rows, K] @ [K, f]. Kept as the
+    reference that the channel-major layer must match within 1e-12."""
+
+    def forward(self, x, train=False):
+        x = np.asarray(x, dtype=np.float64)
+        self._check_input(x)
+        b, h, w, cin = x.shape
+        self._cache = None
+        sh, sw = self.stride
+        geom = self._geometry(h, w)
+        pt, pb, pl, pr, oh, ow = geom
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        _, hp, wp, _ = xp.shape
+        out, lowered = correlate_rowmajor(
+            xp.reshape(b * hp * wp, cin), wp, self.params["W"], self.dilation
+        )
+        out = out.reshape(b, hp, wp, self.filters)
+        self._cache = (lowered, xp.shape, geom)
+        self._pre = out[:, : oh * sh : sh, : ow * sw : sw] + self.params["b"]
+        self._out = self.activation.fn(self._pre)
+        return self._out
+
+    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
+        if preact:
+            delta = upstream
+        else:
+            delta = upstream * self.activation.deriv(self._pre, self._out)
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        dh, dw = self.dilation
+        n = b * hp * wp
+        lead = (kh - 1) * dh * wp + (kw - 1) * dw
+        grid = np.zeros((lead + n, self.filters))
+        placed = grid[lead:]
+        placed.reshape(b, hp, wp, self.filters)[:, : oh * sh : sh, : ow * sw : sw] = delta
+        if param_grads:
+            valid = placed[: n - lead]
+            dW = self.grads["W"].reshape(kh, kw * cin, self.filters)
+            for ki in range(kh):
+                lo = ki * dh * wp
+                np.matmul(lowered[lo : lo + n - lead].T, valid, out=dW[ki])
+            np.sum(delta.reshape(-1, self.filters), axis=0, out=self.grads["b"])
+        if not input_grad:
+            return None
+        W = self.params["W"]
+        flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
+        dxp, _ = correlate_rowmajor(grid, wp, flipped, self.dilation)
+        h = hp - pt - pb
+        w = wp - pl - pr
+        return dxp[:n].reshape(b, hp, wp, cin)[:, pt : pt + h, pl : pl + w, :]
+
+
+def channel_major(x):
+    """``x`` [b, h, w, c] with the same values over [c, b, h, w] memory."""
+    return np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+
+
+def conv_outcome(layer, x, up, preact, input_grad, param_grads):
+    """Output, input gradient and parameter gradients of one forward and
+    one backward, each copied."""
+    out = layer.forward(x).copy()
+    dx = layer.backward(up, preact=preact, input_grad=input_grad, param_grads=param_grads)
+    return [out, None if dx is None else dx.copy()] + [
+        layer.grads[k].copy() for k in ("W", "b")
+    ]
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    dilation = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    padding = draw(st.sampled_from(["valid", "same", 0, 1, 2]))
+    cin = draw(st.sampled_from([1, 3, 32]))
+    filters = draw(st.sampled_from([1, 2, 5, 16]))
+    # from the smallest input each kernel extent fits at "valid"
+    h, w = (
+        k + (k - 1) * (d - 1) + draw(st.integers(0, 4)) for k, d in zip(kernel, dilation)
+    )
+    batch = draw(st.integers(0, 2))
+    return kernel, stride, dilation, padding, (h, w, cin), filters, batch
+
+
+class TestConv2DMatchesRowMajorReference:
+    """The channel-major layer against the row-major one it replaced:
+    every GEMM runs in the other orientation, so BLAS may sum in another
+    order, and 1e-12 relative bounds the difference."""
+
+    @given(
+        case=conv_cases(),
+        activation=st.sampled_from(["linear", "relu", "tanh"]),
+        preact=st.booleans(),
+        input_grad=st.booleans(),
+        param_grads=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_cases(self, case, activation, preact, input_grad, param_grads, seed):
+        kernel, stride, dilation, padding, in_shape, filters, batch = case
+        rng = Rng(seed)
+        layers = [
+            cls(filters, kernel, stride=stride, padding=padding, dilation=dilation,
+                activation=activation)
+            for cls in (conv.Conv2D, conv.Conv2D, RowMajorConv2D)
+        ]
+        for layer in layers:
+            layer.build(in_shape, Rng(seed))
+        x = rng.normal((batch,) + in_shape)
+        up = rng.normal((batch,) + layers[0].out_shape(in_shape))
+        flags = preact, input_grad, param_grads
+        got = conv_outcome(layers[0], x, up, *flags)
+        fed_channel_major = conv_outcome(layers[1], channel_major(x), up, *flags)
+        want = conv_outcome(layers[2], x, up, *flags)
+        for g, c, r in zip(got, fed_channel_major, want):
+            if r is None:
+                assert g is None and c is None
+                continue
+            assert g.tobytes() == c.tobytes()
+            assert_rel_close(g, r)
+
+    def test_bound_catches_a_small_error(self):
+        layer = conv.Conv2D(4, 3, padding="same")
+        layer.build((6, 5, 3), Rng(0))
+        want = RowMajorConv2D(4, 3, padding="same")
+        want.build((6, 5, 3), Rng(0))
+        x = Rng(1).normal((2, 6, 5, 3))
+        got = layer.forward(x).copy()
+        ref = want.forward(x)
+        assert_rel_close(got, ref)
+        got[1, 2, 3, 0] += 1e-11 * np.max(np.abs(ref))
+        with pytest.raises(AssertionError):
+            assert_rel_close(got, ref)
+
+    def test_output_and_input_gradient_are_channel_major(self):
+        layer = conv.Conv2D(4, 3, padding="same", activation="relu")
+        layer.build((6, 5, 3), Rng(0))
+        x = Rng(1).normal((2, 6, 5, 3))
+        for fed in (x, channel_major(x)):
+            out = layer.forward(fed)
+            dx = layer.backward(np.ones(out.shape))
+            assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+            # a cropped view of the padded gradient, in the same axis order
+            assert dx.strides[3] > dx.strides[0] > dx.strides[1] > dx.strides[2]
+
+
+def image_classifier(seed):
+    model = SequentialModel(cli.image_classifier_layers(10), seed=seed)
+    model.compile((12, 12, 3), "categorical_crossentropy", "adam")
+    return model
+
+
+def test_image_classifier_gives_the_same_bits_in_both_memory_layouts():
+    # no layer after a Conv2D may depend on the C order of its input
+    rng = Rng(3)
+    x = rng.normal((5, 12, 12, 3))
+    y = np.eye(10)[rng.integers(10, 5)]
+    results = []
+    for fed in (x, channel_major(x)):
+        model = image_classifier(seed=11)
+        value, out = model.train_on_batch(fed, y)
+        results.append(
+            [model.predict(fed), np.array(value), out, model.flat_params.copy()]
+        )
+    for c_ordered, chan_major in zip(*results):
+        assert c_ordered.tobytes() == chan_major.tobytes()
 
 
 class TestPool2D:

@@ -10,34 +10,32 @@ from minidl.recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from minidl.tensor import Rng
 
 
+def fd_grad(arr, loss, eps):
+    """Central differences of ``loss()`` with respect to ``arr``, which is
+    perturbed through itself, element by element: the reshape(-1) of a
+    strided array is a copy, which the perturbation would not reach."""
+    num = np.zeros(arr.shape)
+    for at in np.ndindex(arr.shape):
+        orig = arr[at]
+        arr[at] = orig + eps
+        hi = loss()
+        arr[at] = orig - eps
+        lo = loss()
+        arr[at] = orig
+        num[at] = (hi - lo) / (2 * eps)
+    return num
+
+
 def fd_input_grad(layer, x, upstream, train=False, eps=1e-6):
     """Numeric dL/dx for L = sum(forward(x) * upstream)."""
-    flat = x.reshape(-1)
-    num = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = np.sum(layer.forward(x, train=train) * upstream)
-        flat[i] = orig - eps
-        lo = np.sum(layer.forward(x, train=train) * upstream)
-        flat[i] = orig
-        num[i] = (hi - lo) / (2 * eps)
-    return num.reshape(x.shape)
+    return fd_grad(x, lambda: np.sum(layer.forward(x, train=train) * upstream), eps)
 
 
 def fd_param_grad(layer, x, upstream, name, train=False, eps=1e-6):
-    p = layer.params[name]
-    flat = p.reshape(-1)
-    num = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = np.sum(layer.forward(x, train=train) * upstream)
-        flat[i] = orig - eps
-        lo = np.sum(layer.forward(x, train=train) * upstream)
-        flat[i] = orig
-        num[i] = (hi - lo) / (2 * eps)
-    return num.reshape(p.shape)
+    """Numeric dL/dp for the parameter ``name``, L as above."""
+    return fd_grad(
+        layer.params[name], lambda: np.sum(layer.forward(x, train=train) * upstream), eps
+    )
 
 
 class TestDense:

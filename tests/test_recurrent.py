@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -468,6 +470,30 @@ def test_backward_consumes_forward_cache(layer):
         layer.backward(up)
     layer.forward(x)
     npt.assert_array_equal(layer.backward(up), first)
+
+
+@pytest.mark.parametrize("return_sequences", [True, False])
+@pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+def test_second_inference_forward_peaks_no_higher(kind, return_sequences):
+    # a forward drops the last call's cache before allocating its own, so
+    # back-to-back inference forwards (evaluate's batches) never hold two
+    # batches' buffers at once
+    cls = recurrent.LSTM if kind == "lstm" else recurrent.SimpleRNN
+    layer = cls(32, return_sequences=return_sequences)
+    layer.build((50, 8), Rng(0))
+    x = Rng(1).normal((16, 50, 8))
+    peaks = np.zeros(2, dtype=np.int64)  # filled in place: no new objects
+    tracemalloc.start()
+    try:
+        for i in range(2):
+            tracemalloc.reset_peak()
+            layer.forward(x)
+            peaks[i] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # up to 1 KB that numpy's small-object caches keep from call to call;
+    # one batch's cache here is 0.4 MB (SimpleRNN) or 1.4 MB (LSTM)
+    assert peaks[1] <= peaks[0] + 1024, peaks
 
 
 @pytest.mark.parametrize("return_sequences", [True, False])
