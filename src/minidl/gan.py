@@ -18,6 +18,10 @@ is:
   gradients, with no gradient taken for the noise, and only the
   generator is stepped.
 
+Each step is one call of the training step ``SequentialModel.fit``
+runs (``_train_step``): on the discriminator for the first, and on the
+generator ``through`` the frozen discriminator for the second.
+
 Both models must be compiled (their attached optimizers are ignored;
 the trainer steps its own two optimizers over each network's
 parameters). The discriminator must end in a sigmoid since the loss
@@ -85,14 +89,9 @@ class GanTrainer:
         rng = rng or self.rng
         b = self.batch_size
         z = rng.normal((b, self.latent_dim))
-        g_out = self.generator.forward(z, train=True)
-        d_out = self.discriminator.forward(g_out, train=True)
-        y = np.ones((b, 1))
-        value = self._loss.value(d_out, y)
-        grad = self._loss.grad(d_out, y)
-        dx = self.discriminator.backward(grad, preact=True, param_grads=False)
-        self.generator.backward(dx, input_grad=False)
-        self.generator.apply_gradients(self.g_optimizer)
+        value, _ = self.generator._train_step(
+            z, np.ones((b, 1)), self._loss, self.g_optimizer, through=self.discriminator
+        )
         return value
 
     # -- the loop ----------------------------------------------------------

@@ -173,7 +173,9 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer: out = act(x @ W + b)."""
+    """Fully connected layer: out = act(x @ W + b). Forward and backward
+    read every leading axis as rows, one GEMM over [rows, n_in]; the
+    input check admits only [batch, n_in] here."""
 
     kind = "dense"
 
@@ -203,10 +205,12 @@ class Dense(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        self._x = x
-        pre = self._pre = x @ self.params["W"]
+        self._x = x.reshape(-1, x.shape[-1])
+        pre = self._x @ self.params["W"]
         pre += self.params["b"]
-        self._out = self.activation.fn(self._pre)
+        shape = x.shape[:-1] + (self.units,)
+        self._pre = pre.reshape(shape)
+        self._out = self.activation.fn(pre).reshape(shape)
         return self._out
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
@@ -214,10 +218,13 @@ class Dense(Layer):
             delta = upstream
         else:
             delta = upstream * self.activation.deriv(self._pre, self._out)
+        rows = delta.reshape(-1, self.units)
         if param_grads:
-            np.matmul(self._x.T, delta, out=self.grads["W"])
-            np.sum(delta, axis=0, out=self.grads["b"])
-        return delta @ self.params["W"].T if input_grad else None
+            np.matmul(self._x.T, rows, out=self.grads["W"])
+            np.sum(rows, axis=0, out=self.grads["b"])
+        if not input_grad:
+            return None
+        return (rows @ self.params["W"].T).reshape(delta.shape[:-1] + (-1,))
 
     @property
     def preactivation(self):
@@ -255,7 +262,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.uniform(x.shape) >= self.rate).astype(np.float64) / keep
+        self._mask = (self._rng.uniform(x.shape) >= self.rate) / keep
         return x * self._mask
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):

@@ -21,6 +21,7 @@ import io
 import json
 import struct
 import zlib
+from itertools import zip_longest
 
 import numpy as np
 
@@ -250,14 +251,24 @@ class SequentialModel:
         self._require_compiled()
         return self._train_step(x, y, self.loss, self.optimizer)
 
-    def _train_step(self, x, y, loss, optimizer):
+    def _train_step(self, x, y, loss, optimizer, through=None):
         """Forward in train mode, ``loss`` and its gradient, backward,
-        and one ``optimizer`` step; returns (loss value, batch output)."""
+        and one ``optimizer`` step; returns (loss value, batch output).
+        With ``through``, a frozen model, the batch output runs on through
+        it, and the loss and the returned output are its; its backward
+        only passes the gradient on, leaving its ``flat_grads`` alone, and
+        only this model steps."""
         out = self.forward(x, train=True)
-        loss_in = self._loss_input(out, loss)
+        head = self
+        if through is not None:
+            head, out = through, through.forward(out, train=True)
+        loss_in = head._loss_input(out, loss)
         value = loss.value(loss_in, y)
         grad = loss.grad(loss_in, y)
-        self.backward(grad, preact=loss.fused is not None, input_grad=False)
+        preact = loss.fused is not None
+        if through is not None:
+            grad, preact = through.backward(grad, preact=preact, param_grads=False), False
+        self.backward(grad, preact=preact, input_grad=False)
         self.apply_gradients(optimizer)
         return value, out
 
@@ -461,23 +472,20 @@ class SequentialModel:
             f.write(payload)
             f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
-    def _apply_arrays(self, arrays):
-        for i, layer in enumerate(self.layers):
-            for k in layer.params:
-                name = "layer%d/%s" % (i, k)
-                if name not in arrays:
-                    raise ModelFileError("file is missing parameter %r" % (name,))
-                if arrays[name].shape != layer.params[k].shape:
-                    raise ModelFileError(
-                        "architecture mismatch at layer %d: parameter %r has shape %s "
-                        "in file, %s in model"
-                        % (i, name, arrays[name].shape, layer.params[k].shape)
-                    )
-                layer.params[k][...] = arrays[name]
-            for k in layer.state:
-                name = "layer%d/state/%s" % (i, k)
-                if name in arrays:
-                    layer.state[k][...] = arrays[name]
+    def _apply_arrays(self, blocks):
+        """Copy a file's (name, array) blocks into the model. They must be
+        the (name, shape) table ``save`` writes for this model, in order."""
+        ours = list(self._blocks())
+        got = [(name, a.shape) for name, a in blocks]
+        want = [(name, a.shape) for name, a in ours]
+        if got != want:
+            i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip_longest(got, want)) if g != w)
+            raise ModelFileError(
+                "architecture mismatch at block %d: the file has %s, the model %s"
+                % (i, g or "no block", w or "no block")
+            )
+        for (_, a), (_, b) in zip(blocks, ours):
+            b[...] = a
 
 
 def _check_batch_size(batch_size):
@@ -489,7 +497,7 @@ def load_model(path, seed=0):
     """Rebuild a model from a saved file: layers from the manifest, then
     weights. The optimizer comes back as its kind with default settings,
     which is enough for inference and fresh fine-tuning."""
-    manifest, arrays = _read_model_file(path)
+    manifest, blocks = _read_model_file(path)
     layers = []
     for i, entry in enumerate(manifest["layers"]):
         kind = entry["kind"]
@@ -510,7 +518,7 @@ def load_model(path, seed=0):
         )
     except ValueError as e:
         raise ModelFileError("cannot rebuild the model from the file: %s" % (e,)) from None
-    model._apply_arrays(arrays)
+    model._apply_arrays(blocks)
     return model
 
 
@@ -577,18 +585,21 @@ def _read_model_file(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFileError("model manifest is unreadable: %s" % (e,)) from None
     _check_manifest(manifest)
-    arrays = {}
+    blocks = []
     while pos < len(raw) - 4:
         (nlen,) = struct.unpack("<H", need(2))
-        name = need(nlen).decode("utf-8")
+        try:
+            name = need(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ModelFileError("model block name is unreadable: %s" % (e,)) from None
         (rank,) = struct.unpack("<B", need(1))
         shape = tuple(struct.unpack("<I", need(4))[0] for _ in range(rank))
         count = 1
         for d in shape:
             count *= d
         data = need(8 * count)
-        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    return manifest, arrays
+        blocks.append((name, np.frombuffer(data, dtype="<f8").reshape(shape).copy()))
+    return manifest, blocks
 
 
 # ---------------------------------------------------------------------------

@@ -367,24 +367,14 @@ class LSTM(_SequenceLayer):
         return {"units": self.units, "return_sequences": self.return_sequences}
 
 
-class TimeDistributedDense(_SequenceLayer):
-    """Apply one dense layer independently at every timestep.
-
-    Equivalent to reshaping [batch, time, n] to [batch*time, n], running
-    the dense layer, and reshaping back.
-    """
+class TimeDistributedDense(Dense):
+    """One dense layer applied independently at every timestep: its GEMM
+    reads [batch, time, n] input as [batch*time, n] rows (``Dense``)."""
 
     kind = "time_distributed_dense"
-    return_sequences = True
 
     def __init__(self, units, activation="linear", init="glorot"):
-        super().__init__()
-        self.units = positive_int("units", units)
-        self._dense = Dense(units, activation=activation, init=init)
-
-    @property
-    def activation(self):
-        return self._dense.activation
+        super().__init__(units, activation=activation, init=init)
 
     def build(self, input_shape, rng):
         if len(input_shape) != 2:
@@ -392,34 +382,17 @@ class TimeDistributedDense(_SequenceLayer):
                 "time distributed dense expects [time, features] input, got %s"
                 % (input_shape,)
             )
-        self._dense.build((input_shape[1],), rng)
-        super().build(input_shape, rng)
-        # one set of arrays, the inner layer's, which its backward fills
-        self.params, self.grads = self._dense.params, self._dense.grads
+        super().build(input_shape[1:], rng)
+        self.input_shape = tuple(input_shape)
 
-    def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_input(x)
-        b, T, n = x.shape
-        self._bt = (b, T)
-        out = self._dense.forward(x.reshape(b * T, n), train=train)
-        return out.reshape(b, T, self.units)
+    def out_shape(self, input_shape):
+        return (input_shape[0], self.units)
 
-    def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        b, T, _ = upstream.shape
-        dx = self._dense.backward(
-            upstream.reshape(b * T, self.units), preact=preact,
-            input_grad=input_grad, param_grads=param_grads,
-        )
-        return None if dx is None else dx.reshape(b, T, -1)
-
-    @property
-    def preactivation(self):
-        b, T = self._bt
-        return self._dense.preactivation.reshape(b, T, self.units)
+    # the time length may vary between calls; the feature count is fixed
+    _check_input = _SequenceLayer._check_input
 
     def hyper(self):
-        return {"units": self.units, "activation": self._dense.activation.name}
+        return {"units": self.units, "activation": self.activation.name}
 
 
 def generate_greedy(model, seed_id, length, n_vocab, window=100):

@@ -397,13 +397,19 @@ class TestFlatBuffers:
         m.train_on_batch(np.array([[1, 2, 3, 4]]), np.ones((1, 3)))
         npt.assert_array_equal(m.layers[0].params["W"], table)
 
-    def test_time_distributed_dense_shares_its_inner_arrays(self):
+    def test_time_distributed_dense_trains_in_the_flat_vectors(self):
         m = SequentialModel([SimpleRNN(3, return_sequences=True), TimeDistributedDense(2)])
         m.compile((4, 2), "mse", "sgd")
         tdd = m.layers[1]
+        before = {k: p.copy() for k, p in tdd.params.items()}
         for k in ("W", "b"):
-            assert tdd.params[k] is tdd._dense.params[k]
-            assert tdd.grads[k] is tdd._dense.grads[k]
+            assert tdd.params[k].base is m.flat_params
+            assert tdd.grads[k].base is m.flat_grads
+        m.train_on_batch(Rng(8).normal((3, 4, 2)), Rng(9).normal((3, 4, 2)))
+        for k in ("W", "b"):
+            assert tdd.params[k].base is m.flat_params
+            assert np.all(tdd.grads[k] != 0.0), k
+            assert np.all(tdd.params[k] != before[k]), k
 
     def test_in_place_write_reaches_the_next_forward(self):
         # criterion 08's saturated gates, written through a compiled model:
@@ -695,6 +701,43 @@ class TestPersistence:
         path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
         with pytest.raises(ModelFileError, match="layer 0"):
             load_model(str(path))
+
+    @staticmethod
+    def resealed(tmp_path, edit):
+        """A saved Dense(2), BatchNorm(), Dense(1) model whose bytes before
+        the checksum ``edit`` rewrote, with the checksum recomputed so
+        that only the edit is wrong. Returns the path."""
+        path = tmp_path / "m.gbk"
+        m = SequentialModel([Dense(2), BatchNorm(), Dense(1)])
+        m.compile((3,), "mse", "sgd")
+        m.save(str(path))
+        raw = edit(path.read_bytes()[:-4])
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+        return str(path)
+
+    def test_non_utf8_block_name_in_valid_file_rejected(self, tmp_path):
+        path = self.resealed(tmp_path, lambda raw: raw.replace(b"layer0/W", b"layer0/\xff"))
+        with pytest.raises(ModelFileError, match="block name"):
+            load_model(path)
+
+    def test_longer_state_block_in_valid_file_rejected(self, tmp_path):
+        def edit(raw):
+            # one more value in running_mean, its extent raised to match
+            name = b"layer1/state/running_mean"
+            at = raw.index(name) + len(name) + 1  # past the name and the rank byte
+            (n,) = struct.unpack("<I", raw[at : at + 4])
+            end = at + 4 + 8 * n
+            return (raw[:at] + struct.pack("<I", n + 1) + raw[at + 4 : end]
+                    + struct.pack("<d", 0.5) + raw[end:])
+
+        with pytest.raises(ModelFileError, match="running_mean"):
+            load_model(self.resealed(tmp_path, edit))
+
+    def test_extra_block_in_valid_file_rejected(self, tmp_path):
+        name = b"layer3/W"
+        block = struct.pack("<H", len(name)) + name + struct.pack("<BId", 1, 1, 1.0)
+        with pytest.raises(ModelFileError, match="layer3/W"):
+            load_model(self.resealed(tmp_path, lambda raw: raw + block))
 
     @staticmethod
     def with_manifest(tmp_path, edit, layers=lambda: [Dense(1)], input_shape=(3,)):

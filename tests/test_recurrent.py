@@ -686,7 +686,13 @@ class TestTimeDistributedDense:
         x = rng.normal((2, 5, 3))
         got = tdd.forward(x)
         want = dense.forward(x.reshape(10, 3)).reshape(2, 5, 4)
-        npt.assert_array_equal(got, want)
+        assert got.shape == (2, 5, 4) and got.tobytes() == want.tobytes()
+        up = rng.normal((2, 5, 4))
+        dx = tdd.backward(up)
+        want_dx = dense.backward(up.reshape(10, 4)).reshape(2, 5, 3)
+        assert dx.shape == (2, 5, 3) and dx.tobytes() == want_dx.tobytes()
+        for k in ("W", "b"):
+            assert tdd.grads[k].tobytes() == dense.grads[k].tobytes(), k
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(33)
