@@ -347,38 +347,28 @@ def cmd_train(args):
     )
     if eval_set is not None:
         final_rows = "test"
+        scores = model.evaluate(*eval_set, batch_size=batch_size)
     elif val_split > 0.0:
+        # fit scored the rows it held out after its last epoch, on the
+        # model as it stands now
         final_rows = "held_out"
-        held = X.shape[0] - int(X.shape[0] * val_split)
-        eval_set = (X[held:], Y[held:])
+        scores = {k[4:]: history.last(k) for k in history.history if k.startswith("val_")}
     else:
         final_rows = "training"
-        eval_set = (X, Y)
-    scores = model.evaluate(*eval_set, batch_size=batch_size)
+        scores = model.evaluate(X, Y, batch_size=batch_size)
     final = {key_prefix + k: v for k, v in scores.items()}
 
     history.save_csv(os.path.join(args.out, "history.csv"))
-    epochs = history.epochs
-    loss_series = {"train loss": (epochs, history.history["loss"])}
-    if "val_loss" in history.history:
-        loss_series["val loss"] = (epochs, history.history["val_loss"])
-    report.write_curve_svg(
-        os.path.join(args.out, "loss.svg"),
-        loss_series,
-        title="%s loss" % args.task,
-        xlabel="epoch",
-        ylabel="loss",
-    )
-    if "accuracy" in history.history:
-        acc_series = {"train accuracy": (epochs, history.history["accuracy"])}
-        if "val_accuracy" in history.history:
-            acc_series["val accuracy"] = (epochs, history.history["val_accuracy"])
+    for metric in ("loss", "accuracy"):
+        series = {"train " + metric: (history.epochs, history.history[metric])}
+        if "val_" + metric in history.history:
+            series["val " + metric] = (history.epochs, history.history["val_" + metric])
         report.write_curve_svg(
-            os.path.join(args.out, "accuracy.svg"),
-            acc_series,
-            title="%s accuracy" % args.task,
+            os.path.join(args.out, metric + ".svg"),
+            series,
+            title="%s %s" % (args.task, metric),
             xlabel="epoch",
-            ylabel="accuracy",
+            ylabel=metric,
         )
     model.save(os.path.join(args.out, "model.gbk"))
     print("final: " + "  ".join("%s=%.6f" % (k, v) for k, v in sorted(final.items())))

@@ -57,13 +57,6 @@ def _positive_pair(name, v):
     return pair
 
 
-def _check_image_shape(kind, input_shape):
-    if len(input_shape) != 3:
-        raise ValueError(
-            "%s expects [height, width, channels] input, got %s" % (kind, input_shape)
-        )
-
-
 def conv_output_size(n, k, stride, pad_lo, pad_hi, dilation=1):
     eff = k + (k - 1) * (dilation - 1)
     span = n + pad_lo + pad_hi - eff
@@ -127,6 +120,7 @@ def _correlate(rows, width, kernel, dilation):
 
 class Conv2D(Layer):
     kind = "conv2d"
+    _rank, _form = 3, "[height, width, channels]"
 
     def __init__(
         self,
@@ -147,18 +141,16 @@ class Conv2D(Layer):
         self.activation = activations.get(activation)
         self._init_spec = init
 
-    def build(self, input_shape, rng):
-        _check_image_shape(self.kind, input_shape)
+    def _init_params(self, input_shape, rng):
         kh, kw = self.kernel_size
         cin = input_shape[2]
         fan_in = kh * kw * cin
         fan_out = kh * kw * self.filters
         init = get_initializer(self._init_spec)
-        self.params = {
+        return {
             "W": init((kh, kw, cin, self.filters), rng, fan_in, fan_out),
             "b": np.zeros(self.filters),
         }
-        super().build(input_shape, rng)
 
     def _geometry(self, h, w):
         kh, kw = self.kernel_size
@@ -194,16 +186,11 @@ class Conv2D(Layer):
         out = out.reshape(self.filters, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw]
         self._cache = (lowered, (b, hp, wp, cin), geom)
         # a [b, oh, ow, f] view; the sum keeps its channel-major order
-        self._pre = out.transpose(1, 2, 3, 0) + self.params["b"]
-        self._out = self.activation.fn(self._pre)
-        return self._out
+        return self._activate(out.transpose(1, 2, 3, 0) + self.params["b"])
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
-        if preact:
-            delta = upstream
-        else:
-            delta = upstream * self.activation.deriv(self._pre, self._out)
+        delta = self._delta(upstream, preact)
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
@@ -244,10 +231,6 @@ class Conv2D(Layer):
             "activation": self.activation.name,
         }
 
-    @property
-    def preactivation(self):
-        return self._pre
-
 
 class Pool2D(Layer):
     """Max or average pooling; ``pool_size`` and ``stride`` (default: the
@@ -258,6 +241,7 @@ class Pool2D(Layer):
     runs over the ph*pw strided views of the input, one per cell."""
 
     kind = "pool2d"
+    _rank, _form = 3, "[height, width, channels]"
 
     def __init__(self, pool_size, stride=None, mode="max"):
         super().__init__()
@@ -266,10 +250,6 @@ class Pool2D(Layer):
         self.pool_size = _positive_pair("pool_size", pool_size)
         self.stride = _positive_pair("stride", pool_size if stride is None else stride)
         self.mode = mode
-
-    def build(self, input_shape, rng):
-        _check_image_shape(self.kind, input_shape)
-        super().build(input_shape, rng)
 
     def out_shape(self, input_shape):
         h, w, c = input_shape

@@ -9,6 +9,7 @@ character and word tokenization, sequence padding).
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 
@@ -81,6 +82,26 @@ def save_csv(path, data, header=None):
 # IDX image container
 # ---------------------------------------------------------------------------
 
+def _read_idx(path, what, magic, rank):
+    """The uint8 array of an IDX file: ``magic`` and ``rank`` extents in
+    its header, then the data. ValueError for a short header, another
+    magic or fewer data bytes than the extents need."""
+    with open(path, "rb") as f:
+        header = f.read(4 * (1 + rank))
+        body = f.read()
+    if len(header) < 4 * (1 + rank):
+        raise ValueError("%s: truncated %s header" % (path, what))
+    got, *shape = struct.unpack(">%dI" % (1 + rank), header)
+    if got != magic:
+        raise ValueError(
+            "%s: bad %s magic 0x%08x (expected 0x%08x)" % (path, what, got, magic)
+        )
+    size = math.prod(shape)
+    if len(body) < size:
+        raise ValueError("%s: truncated %s data" % (path, what))
+    return np.frombuffer(body, dtype=np.uint8, count=size).reshape(shape)
+
+
 def load_idx(images_path, labels_path):
     """Read paired IDX image and label files.
 
@@ -88,31 +109,11 @@ def load_idx(images_path, labels_path):
     the raw 0..255 pixel values, labels as [n] int64. The two files
     must agree on the item count.
     """
-    with open(images_path, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", f.read(16))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(
-                "%s: bad image magic 0x%08x (expected 0x%08x)"
-                % (images_path, magic, IDX_IMAGE_MAGIC)
-            )
-        buf = f.read(n * rows * cols)
-        if len(buf) != n * rows * cols:
-            raise ValueError("%s: truncated image data" % (images_path,))
-        images = np.frombuffer(buf, dtype=np.uint8).reshape(n, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", f.read(8))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(
-                "%s: bad label magic 0x%08x (expected 0x%08x)"
-                % (labels_path, magic, IDX_LABEL_MAGIC)
-            )
-        buf = f.read(n_labels)
-        if len(buf) != n_labels:
-            raise ValueError("%s: truncated label data" % (labels_path,))
-        labels = np.frombuffer(buf, dtype=np.uint8)
-    if n != n_labels:
+    images = _read_idx(images_path, "image", IDX_IMAGE_MAGIC, 3)
+    labels = _read_idx(labels_path, "label", IDX_LABEL_MAGIC, 1)
+    if len(images) != len(labels):
         raise ValueError(
-            "image count %d does not match label count %d" % (n, n_labels)
+            "image count %d does not match label count %d" % (len(images), len(labels))
         )
     return images.astype(np.float64), labels.astype(np.int64)
 

@@ -2,12 +2,16 @@
 
 Each layer caches what its own backward pass needs during forward, so
 training code is just forward, loss gradient, backward, optimizer step.
-``build`` gives each trainable parameter a gradient array of its shape
-in ``self.grads``, keyed like ``self.params``. A parameter is changed by
-writing into it, never by rebinding its entry: an entry may be a view
-of a larger storage block (``Layer.storage``), and once a model is
-compiled both dicts hold views into the model's flat parameter and
-gradient vectors.
+``Layer.build`` is every layer's build: it checks the per-sample input
+rank against the class constants ``_rank`` and ``_form`` ("<kind>
+expects <form> input, got shape ..."), takes ``self.params`` from the
+hook ``_init_params(input_shape, rng)``, which makes the layer's
+``rng`` draws, and gives each trainable parameter a zero gradient array
+of its shape in ``self.grads``, keyed like ``self.params``. A parameter
+is changed by writing into it, never by rebinding its entry: an entry
+may be a view of a larger storage block (``Layer.storage``), and once a
+model is compiled both dicts hold views into the model's flat parameter
+and gradient vectors.
 
 The backward contract, shared by every layer in the library::
 
@@ -110,6 +114,9 @@ def get_initializer(spec):
 class Layer:
     kind = "layer"
     _cache = None
+    # the per-sample input rank ``build`` accepts, and its description
+    # in the message for any other rank; None accepts every rank
+    _rank = _form = None
 
     def __init__(self):
         self.params = {}
@@ -118,13 +125,22 @@ class Layer:
         self.trainable = True
 
     def build(self, input_shape, rng):
-        """Record the per-sample input shape and give each trainable
-        parameter a gradient array of its shape. Subclasses create
-        ``self.params`` first, then call this."""
+        """Check the input rank, record the shape, create the parameters
+        and their gradients (module docstring), then ``_bind``."""
+        if self._rank is not None and len(input_shape) != self._rank:
+            raise ValueError(
+                "%s expects %s input, got shape %s" % (self.kind, self._form, tuple(input_shape))
+            )
         self.input_shape = tuple(input_shape)
+        self.params = self._init_params(self.input_shape, rng)
         self.grads = (
             {k: np.zeros_like(p) for k, p in self.params.items()} if self.trainable else {}
         )
+        self._bind()
+
+    def _init_params(self, input_shape, rng):
+        """The parameters for this input shape, by name; none by default."""
+        return {}
 
     def storage(self):
         """The arrays this layer's parameters and their gradients live
@@ -171,6 +187,24 @@ class Layer:
                 % (self.kind, self.input_shape, x.shape[1:])
             )
 
+    def _activate(self, pre):
+        """Keep ``pre`` and its activation for backward; return the latter."""
+        self._pre = pre
+        self._out = self.activation.fn(pre)
+        return self._out
+
+    def _delta(self, upstream, preact):
+        """The gradient with respect to the last preactivation; ``preact``
+        says a fused loss already differentiated through the activation."""
+        if preact:
+            return upstream
+        return upstream * self.activation.deriv(self._pre, self._out)
+
+    @property
+    def preactivation(self):
+        """The last forward pass's preactivation, before the activation."""
+        return self._pre
+
 
 class Dense(Layer):
     """Fully connected layer: out = act(x @ W + b). Forward and backward
@@ -178,6 +212,7 @@ class Dense(Layer):
     input check admits only [batch, n_in] here."""
 
     kind = "dense"
+    _rank, _form = 1, "flat per-sample"
 
     def __init__(self, units, activation="linear", init="glorot", leaky_slope=0.2):
         super().__init__()
@@ -186,21 +221,13 @@ class Dense(Layer):
         self._init_spec = init
         self._leaky_slope = leaky_slope
 
-    def build(self, input_shape, rng):
-        if len(input_shape) != 1:
-            raise ValueError(
-                "dense expects flat per-sample input, got shape %s" % (input_shape,)
-            )
-        n_in = input_shape[0]
+    def _init_params(self, input_shape, rng):
+        n_in = input_shape[-1]
         init = get_initializer(self._init_spec)
-        self.params = {
-            "W": init((n_in, self.units), rng, n_in, self.units),
-            "b": np.zeros(self.units),
-        }
-        super().build(input_shape, rng)
+        return {"W": init((n_in, self.units), rng, n_in, self.units), "b": np.zeros(self.units)}
 
     def out_shape(self, input_shape):
-        return (self.units,)
+        return tuple(input_shape[:-1]) + (self.units,)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -208,16 +235,10 @@ class Dense(Layer):
         self._x = x.reshape(-1, x.shape[-1])
         pre = self._x @ self.params["W"]
         pre += self.params["b"]
-        shape = x.shape[:-1] + (self.units,)
-        self._pre = pre.reshape(shape)
-        self._out = self.activation.fn(pre).reshape(shape)
-        return self._out
+        return self._activate(pre.reshape(x.shape[:-1] + (self.units,)))
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        if preact:
-            delta = upstream
-        else:
-            delta = upstream * self.activation.deriv(self._pre, self._out)
+        delta = self._delta(upstream, preact)
         rows = delta.reshape(-1, self.units)
         if param_grads:
             np.matmul(self._x.T, rows, out=self.grads["W"])
@@ -225,11 +246,6 @@ class Dense(Layer):
         if not input_grad:
             return None
         return (rows @ self.params["W"].T).reshape(delta.shape[:-1] + (-1,))
-
-    @property
-    def preactivation(self):
-        """Last forward pass's x @ W + b, before the activation."""
-        return self._pre
 
     def hyper(self):
         h = {"units": self.units, "activation": self.activation.name}
@@ -287,21 +303,17 @@ class BatchNorm(Layer):
     """
 
     kind = "batchnorm"
+    _rank, _form = 1, "flat per-sample"
 
     def __init__(self, momentum=0.99, eps=1e-3):
         super().__init__()
         self.momentum = float(momentum)
         self.eps = float(eps)
 
-    def build(self, input_shape, rng):
-        if len(input_shape) != 1:
-            raise ValueError(
-                "batchnorm expects flat per-sample input, got shape %s" % (input_shape,)
-            )
+    def _init_params(self, input_shape, rng):
         n = input_shape[0]
-        self.params = {"gamma": np.ones(n), "beta": np.zeros(n)}
         self.state = {"running_mean": np.zeros(n), "running_var": np.ones(n)}
-        super().build(input_shape, rng)
+        return {"gamma": np.ones(n), "beta": np.zeros(n)}
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)

@@ -505,7 +505,7 @@ def load_model(path, seed=0):
             raise ModelFileError("unknown layer kind %r in file" % (kind,))
         try:
             layers.append(LAYER_KINDS[kind](**entry["hyper"]))
-        except (TypeError, KeyError, ValueError) as e:
+        except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise ModelFileError(
                 "cannot rebuild layer %d (%s) from the file: %s" % (i, kind, e)
             ) from None
@@ -516,7 +516,7 @@ def load_model(path, seed=0):
             manifest["loss"] or "mse",
             manifest["optimizer"] or "sgd",
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ModelFileError("cannot rebuild the model from the file: %s" % (e,)) from None
     model._apply_arrays(blocks)
     return model

@@ -44,6 +44,7 @@ class _SequenceLayer(Layer):
     # fed to every carried row (``_start``).
     _carry = None
     _n_states = 1
+    _rank, _form = 2, "[time, features]"
 
     def _zero_state(self, b):
         return tuple(np.zeros((b, self.units)) for _ in range(self._n_states))
@@ -100,6 +101,7 @@ class Embedding(Layer):
     """
 
     kind = "embedding"
+    _rank, _form = 1, "[time] integer"
 
     def __init__(self, vocab_size, dim, weights=None, trainable=True):
         super().__init__()
@@ -108,22 +110,15 @@ class Embedding(Layer):
         self.trainable = bool(trainable)
         self._preset = None if weights is None else np.asarray(weights, dtype=np.float64)
 
-    def build(self, input_shape, rng):
-        if len(input_shape) != 1:
+    def _init_params(self, input_shape, rng):
+        if self._preset is None:
+            return {"W": rng.uniform((self.vocab_size, self.dim), low=-0.05, high=0.05)}
+        if self._preset.shape != (self.vocab_size, self.dim):
             raise ValueError(
-                "embedding expects [time] integer input, got shape %s" % (input_shape,)
+                "embedding weights shape %s does not match (%d, %d)"
+                % (self._preset.shape, self.vocab_size, self.dim)
             )
-        if self._preset is not None:
-            if self._preset.shape != (self.vocab_size, self.dim):
-                raise ValueError(
-                    "embedding weights shape %s does not match (%d, %d)"
-                    % (self._preset.shape, self.vocab_size, self.dim)
-                )
-            W = self._preset.copy()
-        else:
-            W = rng.uniform((self.vocab_size, self.dim), low=-0.05, high=0.05)
-        self.params = {"W": W}
-        super().build(input_shape, rng)
+        return {"W": self._preset.copy()}
 
     def out_shape(self, input_shape):
         return (input_shape[0], self.dim)
@@ -168,19 +163,14 @@ class SimpleRNN(_SequenceLayer):
         self.return_sequences = bool(return_sequences)
         self._init_spec = init
 
-    def build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise ValueError(
-                "rnn expects [time, features] input, got shape %s" % (input_shape,)
-            )
+    def _init_params(self, input_shape, rng):
         n_in = input_shape[1]
         init = get_initializer(self._init_spec)
-        self.params = {
+        return {
             "W": init((self.units, self.units), rng, self.units, self.units),
             "U": init((n_in, self.units), rng, n_in, self.units),
             "b": np.zeros(self.units),
         }
-        super().build(input_shape, rng)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -275,11 +265,7 @@ class LSTM(_SequenceLayer):
         self.return_sequences = bool(return_sequences)
         self._init_spec = init
 
-    def build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise ValueError(
-                "lstm expects [time, features] input, got shape %s" % (input_shape,)
-            )
+    def _init_params(self, input_shape, rng):
         n_in = input_shape[1]
         u = self.units
         init = get_initializer(self._init_spec)
@@ -291,7 +277,7 @@ class LSTM(_SequenceLayer):
         for g in self.GATES:
             self.params["W" + g][...] = init((u, u), rng, u, u)
             self.params["U" + g][...] = init((n_in, u), rng, n_in, u)
-        self.input_shape = tuple(input_shape)
+        return self.params
 
     def storage(self):
         return self._blocks, self._grad_blocks
@@ -372,21 +358,10 @@ class TimeDistributedDense(Dense):
     reads [batch, time, n] input as [batch*time, n] rows (``Dense``)."""
 
     kind = "time_distributed_dense"
+    _rank, _form = 2, "[time, features]"
 
     def __init__(self, units, activation="linear", init="glorot"):
         super().__init__(units, activation=activation, init=init)
-
-    def build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise ValueError(
-                "time distributed dense expects [time, features] input, got %s"
-                % (input_shape,)
-            )
-        super().build(input_shape[1:], rng)
-        self.input_shape = tuple(input_shape)
-
-    def out_shape(self, input_shape):
-        return (input_shape[0], self.units)
 
     # the time length may vary between calls; the feature count is fixed
     _check_input = _SequenceLayer._check_input

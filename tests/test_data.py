@@ -87,6 +87,25 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated"):
             data.load_idx(str(ip), str(lp))
 
+    @pytest.mark.parametrize("short", ["images", "labels"])
+    def test_file_shorter_than_its_header(self, tmp_path, short):
+        paths = {"images": tmp_path / "i.idx", "labels": tmp_path / "l.idx"}
+        data.save_idx(np.zeros((1, 2, 2)), np.array([0]), *map(str, paths.values()))
+        paths[short].write_bytes(paths[short].read_bytes()[:3])
+        with pytest.raises(ValueError, match="truncated"):
+            data.load_idx(*map(str, paths.values()))
+
+    def test_bad_label_magic_and_truncated_labels(self, tmp_path):
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        data.save_idx(np.zeros((2, 2, 2)), np.array([0, 1]), str(ip), str(lp))
+        raw = lp.read_bytes()
+        lp.write_bytes(raw[:-1])
+        with pytest.raises(ValueError, match="truncated label data"):
+            data.load_idx(str(ip), str(lp))
+        lp.write_bytes(b"\x00\x00\x08\x03" + raw[4:])
+        with pytest.raises(ValueError, match="bad label magic"):
+            data.load_idx(str(ip), str(lp))
+
     def test_count_mismatch(self, tmp_path):
         ia, la = str(tmp_path / "ia.idx"), str(tmp_path / "la.idx")
         ib, lb = str(tmp_path / "ib.idx"), str(tmp_path / "lb.idx")

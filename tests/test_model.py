@@ -97,6 +97,32 @@ class TestCompile:
         )
 
 
+# one layer of every kind whose build checks the input rank, and that rank
+RANKED = {
+    "dense": (lambda: Dense(2), 1),
+    "batchnorm": (BatchNorm, 1),
+    "conv2d": (lambda: Conv2D(2, 1), 3),
+    "pool2d": (lambda: Pool2D(1), 3),
+    "embedding": (lambda: Embedding(5, 2), 1),
+    "simple_rnn": (lambda: SimpleRNN(2), 2),
+    "lstm": (lambda: LSTM(2), 2),
+    "time_distributed_dense": (lambda: TimeDistributedDense(2), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "kind", sorted(set(model_mod.LAYER_KINDS) - {"dropout", "flatten"})
+)
+def test_wrong_rank_build_names_the_kind(kind):
+    make, rank = RANKED[kind]
+    layer = make()
+    assert type(layer) is model_mod.LAYER_KINDS[kind]
+    for n in (rank - 1, rank + 1):
+        with pytest.raises(ValueError, match=r"^%s expects .+ input, got shape \(" % kind):
+            layer.build((3,) * n, Rng(0))
+    layer.build((3,) * rank, Rng(0))
+
+
 class TestForwardBackward:
     def test_two_linear_layers_compose(self):
         m = SequentialModel([Dense(2), Dense(1)])
@@ -460,6 +486,47 @@ class TestFlatBuffers:
         loaded.save(str(again))
         assert again.read_bytes() == raw
 
+    def test_conv_batchnorm_dense_file_bytes(self, tmp_path):
+        # Conv2D draws W [kh, kw, c, f] with fans kh*kw*c and kh*kw*f;
+        # BatchNorm draws nothing and keeps its statistics as state blocks
+        m = SequentialModel([Conv2D(2, 3), Flatten(), BatchNorm(), Dense(3)], seed=8)
+        m.compile((4, 4, 1), "mse", "sgd")
+        rng, init = Rng(8), get_initializer("glorot")
+        conv_W = init((3, 3, 1, 2), rng, 9, 18)
+        dense_W = init((8, 3), rng, 8, 3)
+        blocks = [
+            ("layer0/W", conv_W), ("layer0/b", np.zeros(2)),
+            ("layer2/beta", np.zeros(8)), ("layer2/gamma", np.ones(8)),
+            ("layer2/state/running_mean", np.zeros(8)),
+            ("layer2/state/running_var", np.ones(8)),
+            ("layer3/W", dense_W), ("layer3/b", np.zeros(3)),
+        ]
+        path = tmp_path / "m.gbk"
+        m.save(str(path))
+        assert path.read_bytes() == gbk1_bytes(m.manifest(), blocks)
+
+    def test_embedding_rnn_tdd_file_bytes(self, tmp_path):
+        # SimpleRNN draws W before U; the file holds its blocks by name
+        m = SequentialModel(
+            [Embedding(9, 4), SimpleRNN(3, return_sequences=True),
+             TimeDistributedDense(2, activation="softmax")],
+            seed=9,
+        )
+        m.compile((5,), "categorical_crossentropy", "rmsprop")
+        rng, init = Rng(9), get_initializer("glorot")
+        emb_W = rng.uniform((9, 4), low=-0.05, high=0.05)
+        rnn_W = init((3, 3), rng, 3, 3)
+        rnn_U = init((4, 3), rng, 4, 3)
+        tdd_W = init((3, 2), rng, 3, 2)
+        blocks = [
+            ("layer0/W", emb_W),
+            ("layer1/U", rnn_U), ("layer1/W", rnn_W), ("layer1/b", np.zeros(3)),
+            ("layer2/W", tdd_W), ("layer2/b", np.zeros(2)),
+        ]
+        path = tmp_path / "m.gbk"
+        m.save(str(path))
+        assert path.read_bytes() == gbk1_bytes(m.manifest(), blocks)
+
 
 def gbk1_bytes(manifest, arrays):
     """A GBK1 file laid out as the ``minidl.model`` docstring says, from
@@ -780,6 +847,25 @@ class TestPersistence:
             tmp_path, edit, lambda: [Pool2D(2), Flatten(), Dense(1)], (4, 4, 1)
         )
         with pytest.raises(ModelFileError, match="layer 0 .*%s must be at least 1" % key):
+            load_model(path)
+
+    def test_infinite_units_in_valid_file_rejected(self, tmp_path):
+        def edit(manifest):
+            manifest["layers"][0]["hyper"]["units"] = float("inf")
+
+        path = self.with_manifest(tmp_path, edit)
+        assert b'"units": Infinity' in open(path, "rb").read()
+        with pytest.raises(ModelFileError, match="layer 0"):
+            load_model(path)
+
+    def test_infinite_conv_padding_in_valid_file_rejected(self, tmp_path):
+        def edit(manifest):
+            manifest["layers"][0]["hyper"]["padding"] = float("inf")
+
+        path = self.with_manifest(
+            tmp_path, edit, lambda: [Conv2D(2, 3), Flatten(), Dense(1)], (4, 4, 1)
+        )
+        with pytest.raises(ModelFileError, match="cannot rebuild the model"):
             load_model(path)
 
     def test_unknown_loss_in_valid_file_rejected(self, tmp_path):
