@@ -11,13 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     # For x >= 0 this is 1 / (1 + exp(-x)), for x < 0 it is
     # exp(x) / (1 + exp(x)): the forms whose exp is at most 1, so
     # nothing overflows. Written without masks or a select it gives the
     # same bits as splitting the array on sign, several times faster.
+    # ``out`` may be ``x`` itself: the denominator is taken first.
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    den = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(den, out=den), out=den)
+    den += 1.0
+    return np.divide(np.exp(np.minimum(x, 0.0, out=out), out=out), den, out=out)
 
 
 def dsigmoid(x, y=None):

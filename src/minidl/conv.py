@@ -78,8 +78,24 @@ def _resolve_padding(padding, n, k, stride, dilation):
         total = max((out - 1) * stride + eff - n, 0)
         lo = total // 2
         return lo, total - lo
-    p = int(padding)
-    return p, p
+    return padding, padding
+
+
+def _check_padding(padding):
+    """"valid", "same", or a whole number of at least 0 as an int; else
+    ValueError."""
+    if padding in ("valid", "same"):
+        return padding
+    try:
+        p = int(padding)
+    except (TypeError, ValueError, OverflowError):
+        p = None
+    if isinstance(padding, (str, bool)) or p is None or p != padding or p < 0:
+        raise ValueError(
+            'padding must be "valid", "same" or a whole number of at least 0, got %r'
+            % (padding,)
+        )
+    return p
 
 
 def _to_channel_major(dst, x):
@@ -136,7 +152,7 @@ class Conv2D(Layer):
         self.filters = positive_int("filters", filters)
         self.kernel_size = _positive_pair("kernel_size", kernel_size)
         self.stride = _positive_pair("stride", stride)
-        self.padding = padding
+        self.padding = _check_padding(padding)
         self.dilation = _positive_pair("dilation", dilation)
         self.activation = activations.get(activation)
         self._init_spec = init

@@ -82,8 +82,11 @@ def random_normal(std=0.02):
 
 def positive_int(name, value):
     """``int(value)``, or ValueError naming the argument when it is
-    below one."""
-    n = int(value)
+    below one or has no integer value (infinite, NaN)."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        raise ValueError("%s must be a whole number, got %r" % (name, value)) from None
     if n < 1:
         raise ValueError("%s must be at least 1, got %r" % (name, value))
     return n
@@ -277,8 +280,9 @@ class Dropout(Layer):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.uniform(x.shape) >= self.rate) / keep
+        # the mask (u >= rate) / keep, built in the draw's own buffer
+        u = self._rng.uniform(x.shape)
+        self._mask = np.divide(u >= self.rate, 1.0 - self.rate, out=u)
         return x * self._mask
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):

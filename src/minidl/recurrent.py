@@ -10,9 +10,11 @@ Kocisky and Blunsom 2016, "Optimizing Performance of Recurrent Neural
 Networks on GPUs"): the input projection ``x @ U`` for all steps is one
 GEMM before the forward loop, and backpropagation through time leaves
 ``dW``, ``dU``, ``db`` and ``dx`` to one GEMM or sum each after the
-backward loop. Backward overwrites the per-step tensors that ``forward``
-cached, so each forward serves one backward; a second backward, or one
-after a carried forward, raises ``ValueError``.
+backward loop. ``LSTM`` runs each step's elementwise work on small
+contiguous gate-major buffers and keeps its states time-major. Backward
+overwrites the per-step tensors that ``forward`` cached, so each forward
+serves one backward; a second backward, or one after a carried forward,
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,18 @@ from .layers import Dense, Layer, get_initializer, positive_int
 
 def _previous(seq):
     """seq[:, t - 1] at every step t of a [batch, time, n] array, with
-    zeros before the first step."""
-    prev = np.empty_like(seq)
+    zeros before the first step, in C order."""
+    prev = np.empty(seq.shape)
     prev[:, 0] = 0.0
     prev[:, 1:] = seq[:, :-1]
     return prev
+
+
+def _gate_major(gates):
+    """The [b, T, 4u] gate buffer as one gate-major [4, b, u] view of
+    each step, [T, 4, b, u]."""
+    b, T, n = gates.shape
+    return gates.reshape(b, T, 4, n // 4).transpose(1, 2, 0, 3)
 
 
 class _SequenceLayer(Layer):
@@ -247,11 +256,18 @@ class LSTM(_SequenceLayer):
     named parameters and gradients are column views of those blocks
     (``storage``), so a write such as ``params["bf"][:] = 500`` acts on
     the next call. Forward fills a [batch, time, 4*units] gate buffer
-    with ``x @ U``; each step adds ``h @ W`` and b to its slice and
-    overwrites it with the gate values. Backward overwrites each step's
-    gate values with the gate deltas, does one recurrent GEMM per step,
-    and reads the live W and U, as ``Dense`` and ``Conv2D`` do, not a
-    copy taken at forward time.
+    with ``x @ U``. Each step puts ``h @ W`` in one [batch, 4*units]
+    buffer, adds it to the step's slice into a contiguous gate-major
+    [4, batch, units] buffer, adds b, applies the gates there and writes
+    the gate values back over the slice. The states c, tanh(c) and h are
+    stored time-major, [time, batch, units], so a sequence output is a
+    transposed view. Backward gathers each step's gate values into a
+    [4, batch, units] buffer, computes the deltas into another, writes
+    them over the slice, and does one recurrent GEMM per step on its
+    batch-major rows. Every sum keeps its order, so the layout changes no
+    result bit.
+    It reads the live W and U, as ``Dense`` and ``Conv2D`` do, not a copy
+    taken at forward time.
     """
 
     kind = "lstm"
@@ -296,24 +312,32 @@ class LSTM(_SequenceLayer):
         self._cache = None  # as in SimpleRNN.forward
         b, T, n_in = x.shape
         u = self.units
-        W, U, bias = self._blocks["W"], self._blocks["U"], self._blocks["b"]
+        W, U = self._blocks["W"], self._blocks["U"]
+        bias = self._blocks["b"].reshape(4, 1, u)
         gates, (h, c) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, 4 * u))
         b = len(gates)
-        gv = gates.reshape(b, T, 4, u)
-        cs = np.empty((b, T, u))
-        tcs = np.empty((b, T, u))
-        hs = np.empty((b, T, u))
+        gv = _gate_major(gates)
+        cs, tcs, hs = (np.empty((T, b, u)) for _ in range(3))
+        hw = np.empty((b, 4 * u))
+        hw_g = hw.reshape(b, 4, u).transpose(1, 0, 2)
+        g = np.empty((4, b, u))
+        f, i, o, a = g
+        fc = np.empty((b, u))
+        keep = self._carry is None  # a carried forward leaves no cache
         for t in range(T):
-            g = gates[:, t]
-            g += h @ W
+            np.matmul(h, W, out=hw)
+            np.add(gv[t], hw_g, out=g)
             g += bias
-            g[:, : 3 * u] = activations.sigmoid(g[:, : 3 * u])
-            np.tanh(g[:, 3 * u :], out=g[:, 3 * u :])
-            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
-            c = np.add(f * c, i * a, out=cs[:, t])
-            h = np.multiply(o, np.tanh(c, out=tcs[:, t]), out=hs[:, t])
+            activations.sigmoid(g[:3], out=g[:3])
+            np.tanh(a, out=a)
+            if keep:
+                gv[t] = g
+            np.multiply(f, c, out=fc)
+            c = np.multiply(i, a, out=cs[t])
+            c += fc
+            h = np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t])
         self._keep(x, (gates, cs, tcs, hs), (h, c))
-        return hs if self.return_sequences else h
+        return hs.transpose(1, 0, 2) if self.return_sequences else h
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         gates, cs, tcs, hs = self._take_cache()
@@ -322,29 +346,46 @@ class LSTM(_SequenceLayer):
         u = self.units
         W, U = self._blocks["W"], self._blocks["U"]
         up = self._upstream_sequence(upstream, T)
-        gv = gates.reshape(b, T, 4, u)
+        gv = _gate_major(gates)
+        g = np.empty((4, b, u))
+        f, i, o, a = g
+        d = np.empty((4, b, u))
+        df, di, do, da = d
         zeros = np.zeros((b, u))
-        carry_h = carry_c = zeros
+        dh, dc, r = (np.empty((b, u)) for _ in range(3))
+        carry_h, carry_c = np.zeros((b, u)), np.zeros((b, u))
         for t in range(T - 1, -1, -1):
-            f, i, o, a = gv[:, t, 0], gv[:, t, 1], gv[:, t, 2], gv[:, t, 3]
-            tc = tcs[:, t]
-            c_prev = cs[:, t - 1] if t else zeros
-            dh = up[:, t] + carry_h
-            dc = dh * o * (1.0 - tc * tc) + carry_c
-            carry_c = dc * f
+            np.copyto(g, gv[t])
+            tc = tcs[t]
+            c_prev = cs[t - 1] if t else zeros
+            np.add(up[:, t], carry_h, out=dh)
+            # dc = dh * o * (1 - tc * tc) + carry_c
+            np.multiply(dh, o, out=dc)
+            dc *= np.subtract(1.0, np.multiply(tc, tc, out=r), out=r)
+            dc += carry_c
+            np.multiply(dc, f, out=carry_c)
+            # di = dc * a * i * (1 - i)
+            np.multiply(np.multiply(dc, a, out=di), i, out=di)
+            di *= np.subtract(1.0, i, out=r)
+            # da = dc * i * (1 - a * a)
+            np.multiply(dc, i, out=da)
+            da *= np.subtract(1.0, np.multiply(a, a, out=r), out=r)
+            # do = o * (dh * tc * (1 - o))
+            np.multiply(dh, tc, out=do)
+            do *= np.subtract(1.0, o, out=r)
+            do *= o
+            # df = f * (dc * c_prev * (1 - f))
+            np.multiply(dc, c_prev, out=df)
+            df *= np.subtract(1.0, f, out=r)
+            df *= f
             # the deltas overwrite the gate values they are made from
-            d_i = dc * a * i * (1.0 - i)
-            d_a = dc * i * (1.0 - a * a)
-            o *= dh * tc * (1.0 - o)
-            f *= dc * c_prev * (1.0 - f)
-            i[...] = d_i
-            a[...] = d_a
+            gv[t] = d
             if t:
-                carry_h = gates[:, t] @ W.T
+                np.matmul(gates[:, t], W.T, out=carry_h)
         d2 = gates.reshape(b * T, 4 * u)
         if param_grads:
             dW, dU, db = (self._grad_blocks[k] for k in "WUb")
-            np.matmul(_previous(hs).reshape(b * T, u).T, d2, out=dW)
+            np.matmul(_previous(hs.transpose(1, 0, 2)).reshape(b * T, u).T, d2, out=dW)
             np.matmul(x.reshape(b * T, n_in).T, d2, out=dU)
             np.sum(d2, axis=0, out=db)
         return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None

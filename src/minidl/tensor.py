@@ -18,14 +18,24 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
 
-def _mix64(z):
-    # splitmix64 output mixing (Steele, Lea, Flood 2014). Operates on
-    # uint64 arrays; multiplication wraps mod 2**64 which is intended,
-    # so the overflow warning is silenced rather than raised
+_BLOCK = 16384
+# j * _GAMMA for j = 1 .. _BLOCK, wrapping mod 2**64: added to
+# seed + count * _GAMMA, it gives the counters of the next block of draws
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GAMMA
+
+
+def _mix64(z, tmp=None):
+    # splitmix64 output mixing (Steele, Lea, Flood 2014), in place on a
+    # uint64 array, with ``tmp`` (of its shape) as the shifts' scratch.
+    # Multiplication wraps mod 2**64 which is intended, so the overflow
+    # warning is silenced rather than raised
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
+        return z
 
 
 class Rng:
@@ -38,26 +48,33 @@ class Rng:
     across runs and platforms. Uniform doubles take the top 53 bits of
     a raw draw; normals come from the Box-Muller transform, consuming
     two raw draws per pair of outputs (the spare value of an odd-length
-    request is discarded rather than cached).
+    request is discarded rather than cached). Draws are computed in
+    blocks of ``_BLOCK`` values written straight into the output, with
+    the bits of computing the whole request at once.
     """
 
     def __init__(self, seed: int):
         self._seed = int(seed) & _U64_MASK
         self._count = 0
 
-    def _raw(self, n):
-        # n raw uint64 draws, advancing the counter.
-        with np.errstate(over="ignore"):
-            idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-            out = _mix64(np.uint64(self._seed) + idx * _GAMMA)
-        self._count += n
-        return out
+    def _units(self, out, start):
+        """Fill ``out`` (1-D float64, at most ``_BLOCK`` values) with the
+        top 53 bits of the draws after ``start`` times 2**-53, without
+        moving the counter."""
+        z = np.uint64((self._seed + start * int(_GAMMA)) & _U64_MASK) + _STEPS[: len(out)]
+        _mix64(z, np.empty_like(z))
+        z >>= np.uint64(11)
+        return np.multiply(z, 2.0 ** -53, out=out)
 
     def uniform(self, shape=None, low=0.0, high=1.0):
         """Uniform float64 draws in [low, high)."""
         n = 1 if shape is None else int(np.prod(shape, dtype=np.int64)) if shape != () else 1
-        u = (self._raw(max(n, 0)) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u = low + (high - low) * u
+        u = np.empty(max(n, 0))
+        for k in range(0, len(u), _BLOCK):
+            block = self._units(u[k : k + _BLOCK], self._count + k)
+            block *= high - low
+            block += low
+        self._count += len(u)
         if shape is None:
             return float(u[0])
         return u.reshape(shape)
@@ -65,17 +82,28 @@ class Rng:
     def normal(self, shape=None, mean=0.0, std=1.0):
         """Gaussian draws via Box-Muller on pairs of uniforms."""
         n = 1 if shape is None else int(np.prod(shape, dtype=np.int64)) if shape != () else 1
-        pairs = (max(n, 0) + 1) // 2
-        raw = self._raw(2 * pairs)
-        # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1).
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        z = mean + std * z[:n]
+        z = np.empty(max(n, 0))
+        pairs = (len(z) + 1) // 2
+        for k in range(0, pairs, _BLOCK):
+            m = min(_BLOCK, pairs - k)
+            # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1). Adding
+            # 2**-53 is exact: it gives (top 53 bits + 1) * 2**-53.
+            r = self._units(np.empty(m), self._count + k)
+            r += 2.0 ** -53
+            theta = self._units(np.empty(m), self._count + pairs + k)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta *= 2.0 * math.pi
+            # this block's even and odd values; an odd request has no
+            # room for its last sine
+            for part, trig in ((z[2 * k : 2 * (k + m) : 2], np.cos),
+                               (z[2 * k + 1 : 2 * (k + m) : 2], np.sin)):
+                v = trig(theta[: len(part)])
+                v *= r[: len(part)]
+                v *= std
+                np.add(v, mean, out=part)
+        self._count += 2 * pairs
         if shape is None:
             return float(z[0])
         return z.reshape(shape)

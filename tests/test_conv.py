@@ -136,6 +136,20 @@ class TestOutputSize:
     def test_integer_padding_is_symmetric(self):
         assert conv._resolve_padding(2, 9, 3, 1, 1) == (2, 2)
 
+    @pytest.mark.parametrize(
+        "padding", [-1, 1.5, float("nan"), float("inf"), True, "full", "1", None, (1, 1)]
+    )
+    def test_padding_other_than_valid_same_or_a_whole_number_rejected(self, padding):
+        with pytest.raises(ValueError, match="padding must be"):
+            conv.Conv2D(2, 3, padding=padding)
+
+    @pytest.mark.parametrize("padding, kept", [("valid", "valid"), ("same", "same"), (0, 0),
+                                               (2, 2), (2.0, 2), (np.int64(1), 1)])
+    def test_padding_kept_as_given_or_as_an_int(self, padding, kept):
+        layer = conv.Conv2D(2, 3, padding=padding)
+        assert layer.hyper()["padding"] == kept
+        assert type(layer.hyper()["padding"]) is type(kept)
+
 
 class TestConv2DForward:
     def test_manual_sum_kernel(self):

@@ -177,6 +177,14 @@ class TestDropout:
         for _ in range(3):
             npt.assert_array_equal(a.forward(x, train=True), b.forward(x, train=True))
 
+    def test_mask_is_the_uniform_draw_thresholded_and_scaled(self):
+        layer = self.build(0.3, seed=4)
+        x = np.full((7, 6), 2.0)
+        out = layer.forward(x, train=True)
+        want = (Rng(4).uniform(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert layer._mask.tobytes() == want.tobytes()
+        assert out.tobytes() == (x * want).tobytes()
+
     def test_accepts_any_rank(self):
         layer = self.build(0.5)
         out = layer.forward(np.ones((2, 3, 4, 5)), train=True)
@@ -346,3 +354,21 @@ class TestInitializers:
 def test_layer_sizes_below_one_rejected(make, name, value):
     with pytest.raises(ValueError, match="%s must be at least 1, got %r" % (name, value)):
         make()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: layers.Dense(v), "units"),
+        (lambda v: Conv2D(v, 3), "filters"),
+        (lambda v: Embedding(v, 4), "vocab_size"),
+        (lambda v: Embedding(10, v), "dim"),
+        (lambda v: SimpleRNN(v), "units"),
+        (lambda v: LSTM(v), "units"),
+        (lambda v: TimeDistributedDense(v), "units"),
+    ],
+)
+def test_layer_sizes_without_an_integer_value_rejected(make, name, value):
+    with pytest.raises(ValueError, match="%s must be a whole number, got %r" % (name, value)):
+        make(value)

@@ -865,7 +865,20 @@ class TestPersistence:
         path = self.with_manifest(
             tmp_path, edit, lambda: [Conv2D(2, 3), Flatten(), Dense(1)], (4, 4, 1)
         )
-        with pytest.raises(ModelFileError, match="cannot rebuild the model"):
+        # refused when the layer is constructed, before anything is built
+        with pytest.raises(ModelFileError, match="cannot rebuild layer 0 .*padding"):
+            load_model(path)
+
+    @pytest.mark.parametrize("padding", [-1, 1.5])
+    def test_negative_or_fractional_conv_padding_in_valid_file_rejected(self, tmp_path, padding):
+        def edit(manifest):
+            manifest["layers"][0]["hyper"]["padding"] = padding
+
+        path = self.with_manifest(
+            tmp_path, edit, lambda: [Conv2D(2, 3), Flatten(), Dense(1)], (6, 6, 1)
+        )
+        assert b'"padding": %s' % str(padding).encode() in open(path, "rb").read()
+        with pytest.raises(ModelFileError, match="cannot rebuild layer 0 .*padding"):
             load_model(path)
 
     def test_unknown_loss_in_valid_file_rejected(self, tmp_path):

@@ -676,6 +676,22 @@ def test_fused_storage_matches_the_concatenating_lstm(
         assert layer.grads[name].tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "input_grad, param_grads, carried",
+    [(True, True, 0), (True, False, 0), (False, True, 0), (True, True, 100)],
+    ids=["both", "input_grad_only", "param_grads_only", "carried_100_rows"],
+)
+def test_fused_storage_matches_the_concatenating_lstm_at_the_benchmark_shape(
+    input_grad, param_grads, carried
+):
+    # the hypothesis draws stay at units <= 6 and batch <= 3, where BLAS
+    # runs other kernels than at charlstm's [32, 100, 29] input
+    test_fused_storage_matches_the_concatenating_lstm.hypothesis.inner_test(
+        units=128, n_in=29, T=100, batch=32, sequences=True, input_grad=input_grad,
+        param_grads=param_grads, compiled=True, carried=carried, scale=1.0, seed=21,
+    )
+
+
 class TestTimeDistributedDense:
     def test_equals_reshaped_dense(self):
         rng = Rng(31)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from minidl import tensor
 from minidl.tensor import Rng
 
 
@@ -78,3 +81,101 @@ class TestRng:
         b = r.child(1).uniform((100,))
         assert not np.array_equal(a, b)
 
+
+def whole_array_mix64(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * tensor._MIX1
+        z = (z ^ (z >> np.uint64(27))) * tensor._MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+class WholeArrayRng:
+    """Rng's draws as minidl computed them before they were blocked:
+    every request's raw draws as one array, then one formula over it."""
+
+    def __init__(self, seed):
+        self._seed = int(seed) & tensor._U64_MASK
+        self._count = 0
+
+    def _raw(self, n):
+        with np.errstate(over="ignore"):
+            idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+            out = whole_array_mix64(np.uint64(self._seed) + idx * tensor._GAMMA)
+        self._count += n
+        return out
+
+    def uniform(self, shape=None, low=0.0, high=1.0):
+        n = 1 if shape is None else int(np.prod(shape, dtype=np.int64)) if shape != () else 1
+        u = (self._raw(max(n, 0)) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u = low + (high - low) * u
+        if shape is None:
+            return float(u[0])
+        return u.reshape(shape)
+
+    def normal(self, shape=None, mean=0.0, std=1.0):
+        n = 1 if shape is None else int(np.prod(shape, dtype=np.int64)) if shape != () else 1
+        pairs = (max(n, 0) + 1) // 2
+        raw = self._raw(2 * pairs)
+        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * math.pi * u2
+        z = np.empty(2 * pairs, dtype=np.float64)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        z = mean + std * z[:n]
+        if shape is None:
+            return float(z[0])
+        return z.reshape(shape)
+
+    def integers(self, n, size):
+        u = self.uniform((size,))
+        return np.minimum((u * n).astype(np.int64), n - 1)
+
+    def permutation(self, n):
+        return np.argsort(self.uniform((n,)), kind="stable")
+
+
+BLOCK = tensor._BLOCK
+# around each boundary of the value blocks (uniform) and of the pair
+# blocks (normal, two values per pair)
+SIZES = [0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+         3 * BLOCK + 5]
+CALLS = {
+    "uniform": lambda r, n: r.uniform((n,)),
+    "uniform_low_high": lambda r, n: r.uniform((n,), low=-0.05, high=0.05),
+    "normal": lambda r, n: r.normal((n,)),
+    "normal_mean_std": lambda r, n: r.normal((n,), mean=4.0, std=0.5),
+    "integers": lambda r, n: r.integers(7, n),
+    "permutation": lambda r, n: r.permutation(n),
+}
+
+
+def assert_same_draw(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_draws_equal_the_whole_array_formulas(call, n):
+    # started off a block boundary, so the blocks straddle the request
+    got, want = Rng(12), WholeArrayRng(12)
+    assert_same_draw(got.uniform((3,)), want.uniform((3,)))
+    assert_same_draw(CALLS[call](got, n), CALLS[call](want, n))
+    assert got._count == want._count
+    assert_same_draw(got.normal((5,)), want.normal((5,)))
+
+
+def test_interleaved_blocked_draws_equal_the_whole_array_formulas():
+    got, want = Rng(2**64 - 3), WholeArrayRng(2**64 - 3)
+    for k, n in enumerate(SIZES * 2):
+        for call in sorted(CALLS):
+            assert_same_draw(CALLS[call](got, n + k), CALLS[call](want, n + k))
+            assert got._count == want._count, (call, n)
+    for shape in [None, (), (2, 3), (BLOCK + 3, 2)]:
+        assert_same_draw(got.uniform(shape, -1.0, 2.0), want.uniform(shape, -1.0, 2.0))
+        assert_same_draw(got.normal(shape, 1.0, 3.0), want.normal(shape, 1.0, 3.0))
+        assert got._count == want._count
+    assert got.randint(1000) == min(int(want.uniform() * 1000), 999)

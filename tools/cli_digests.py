@@ -30,6 +30,8 @@ from conftest import draw_digits, separable_table  # noqa: E402
 from minidl import cli, save_idx  # noqa: E402
 
 CORPUS = "the quick brown fox jumps over the lazy dog. " * 12
+# long enough for full batches of 16 sequences of 40 characters
+LONG_CORPUS = CORPUS * 4
 REVIEWS = [
     "1\tloved every minute of this film",
     "0\tterrible and boring waste of time",
@@ -57,6 +59,11 @@ COMMANDS = [
     ("charlstm-val", ["train", "--task", "charlstm", *CHAR, "--val-split", "0.5"]),
     # the later --layers wins
     ("charlstm-stacked", ["train", "--task", "charlstm", *CHAR, "--layers", "2"]),
+    # each step's Dropout mask is 16 * 40 * 64 = 40960 draws: two full Rng
+    # blocks of 16384 and part of a third
+    ("charlstm-blocks", ["train", "--task", "charlstm", "--data", "corpus-long.txt",
+                         "--epochs", "2", "--seq-length", "40", "--units", "64",
+                         "--layers", "1", "--batch-size", "16"]),
     # no recurrent layer: a TimeDistributedDense bigram model
     ("charrnn-layers0", ["train", "--task", "charrnn", *CHAR, "--layers", "0"]),
     ("sentiment", ["train", "--task", "sentiment", "--data", "reviews.tsv", "--epochs", "2",
@@ -78,6 +85,8 @@ COMMANDS = [
     # the benchmark's shape: the ring runs past a full window through one LSTM
     ("generate-lstm-window10", ["generate", "--model", "runs/charlstm/model.gbk",
                                 "--length", "40", "--window", "10"]),
+    ("generate-blocks-window10", ["generate", "--model", "runs/charlstm-blocks/model.gbk",
+                                  "--length", "40", "--window", "10"]),
     ("generate-layers0-window8", ["generate", "--model", "runs/charrnn-layers0/model.gbk",
                                   "--length", "40", "--window", "8"]),
     ("gan", ["gan", "--data", "train-images.idx", "train-labels.idx", "--epochs", "1",
@@ -95,6 +104,8 @@ def write_inputs():
             f.write(",".join(repr(float(v)) for v in (*row, label)) + "\n")
     with open("corpus.txt", "w", encoding="utf-8") as f:
         f.write(CORPUS)
+    with open("corpus-long.txt", "w", encoding="utf-8") as f:
+        f.write(LONG_CORPUS)
     with open("reviews.tsv", "w", encoding="utf-8") as f:
         f.write("\n".join(REVIEWS) + "\n")
 
