@@ -187,9 +187,6 @@ class Conv2D(Layer):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         b, h, w, cin = x.shape
-        # drop the last call's cache before lowering this input, so the
-        # two lowered copies are never alive at once
-        self._cache = None
         sh, sw = self.stride
         geom = self._geometry(h, w)
         pt, pb, pl, pr, oh, ow = geom
@@ -200,13 +197,13 @@ class Conv2D(Layer):
             xp.reshape(cin, b * hp * wp), wp, self.params["W"], self.dilation
         )
         out = out.reshape(self.filters, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw]
-        self._cache = (lowered, (b, hp, wp, cin), geom)
         # a [b, oh, ow, f] view; the sum keeps its channel-major order
-        return self._activate(out.transpose(1, 2, 3, 0) + self.params["b"])
+        pre = out.transpose(1, 2, 3, 0) + self.params["b"]
+        return self._activate(pre, lowered, (b, hp, wp, cin), geom)
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
-        delta = self._delta(upstream, preact)
+        pre, out, lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
+        delta = self._delta(upstream, preact, pre, out)
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
@@ -226,9 +223,9 @@ class Conv2D(Layer):
                 lo = ki * dh * wp
                 np.matmul(lowered[:, lo : lo + n - lead], valid, out=dW[ki])
             np.sum(placed, axis=1, out=self.grads["b"])
-        # free the forward's lowered input before the input gradient
-        # lowers its own
+        # free the forward's lowered input before the input gradient lowers its own
         del lowered
+        self._spent = None
         if not input_grad:
             return None
         W = self.params["W"]

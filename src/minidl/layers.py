@@ -1,7 +1,12 @@
 """Feed-forward layers with explicit forward and backward passes.
 
-Each layer caches what its own backward pass needs during forward, so
-training code is just forward, loss gradient, backward, optimizer step.
+Each forward keeps all that its backward reads in one ``self._cache``,
+and each backward starts with ``_take_cache``, even when a flag makes it
+return None: a backward with no forward, or a second one, raises
+ValueError naming the kind. A forward that checks its input
+(``_check_input``) drops the last cache, taken or not, before it
+allocates. ``_activate`` caches the preactivation and output first;
+``preactivation`` reads them until backward.
 ``Layer.build`` is every layer's build: it checks the per-sample input
 rank against the class constants ``_rank`` and ``_form`` ("<kind>
 expects <form> input, got shape ..."), takes ``self.params`` from the
@@ -167,13 +172,16 @@ class Layer:
 
     def _take_cache(self):
         """Hand the last forward's cache to backward, which may overwrite
-        or free it: each forward's cache serves one backward."""
+        it: each forward's cache serves one backward. ``_spent`` holds it on
+        until the next forward: caches freed at backward let the heap shrink
+        after each step, and the next step paid page faults to regrow it."""
         cache, self._cache = self._cache, None
         if cache is None:
             raise ValueError(
                 "%s backward needs a forward first: each forward's cache "
                 "serves one backward" % (self.kind,)
             )
+        self._spent = cache
         return cache
 
     def param_count(self):
@@ -184,29 +192,32 @@ class Layer:
         return {}
 
     def _check_input(self, x):
+        self._cache = self._spent = None
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 "%s expected per-sample shape %s, got %s"
                 % (self.kind, self.input_shape, x.shape[1:])
             )
 
-    def _activate(self, pre):
-        """Keep ``pre`` and its activation for backward; return the latter."""
-        self._pre = pre
-        self._out = self.activation.fn(pre)
-        return self._out
+    def _activate(self, pre, *keep):
+        """Cache ``pre``, its activation, then ``keep``; return the activation."""
+        out = self.activation.fn(pre)
+        self._cache = (pre, out) + keep
+        return out
 
-    def _delta(self, upstream, preact):
-        """The gradient with respect to the last preactivation; ``preact``
-        says a fused loss already differentiated through the activation."""
+    def _delta(self, upstream, preact, pre, out):
+        """The gradient at ``pre``, whose activation is ``out``, unless
+        ``preact``: a fused loss already differentiated through it."""
         if preact:
             return upstream
-        return upstream * self.activation.deriv(self._pre, self._out)
+        return upstream * self.activation.deriv(pre, out)
 
     @property
     def preactivation(self):
-        """The last forward pass's preactivation, before the activation."""
-        return self._pre
+        """The last forward's preactivation, until backward takes the cache."""
+        if self._cache is None:
+            raise ValueError("%s has no preactivation: no forward since backward" % self.kind)
+        return self._cache[0]
 
 
 class Dense(Layer):
@@ -235,20 +246,21 @@ class Dense(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        self._x = x.reshape(-1, x.shape[-1])
-        pre = self._x @ self.params["W"]
+        x_rows = x.reshape(-1, x.shape[-1])
+        pre = x_rows @ self.params["W"]
         pre += self.params["b"]
-        return self._activate(pre.reshape(x.shape[:-1] + (self.units,)))
+        return self._activate(pre.reshape(x.shape[:-1] + (self.units,)), x_rows)
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        delta = self._delta(upstream, preact)
+        pre, out, x_rows = self._take_cache()
+        delta = self._delta(upstream, preact, pre, out)
         rows = delta.reshape(-1, self.units)
         if param_grads:
-            np.matmul(self._x.T, rows, out=self.grads["W"])
+            np.matmul(x_rows.T, rows, out=self.grads["W"])
             np.sum(rows, axis=0, out=self.grads["b"])
         if not input_grad:
             return None
-        return (rows @ self.params["W"].T).reshape(delta.shape[:-1] + (-1,))
+        return (rows @ self.params["W"].T).reshape(delta.shape[:-1] + x_rows.shape[1:])
 
     def hyper(self):
         h = {"units": self.units, "activation": self.activation.name}
@@ -278,19 +290,19 @@ class Dropout(Layer):
         # shape-agnostic; the mask is drawn fresh for whatever arrives
         x = np.asarray(x, dtype=np.float64)
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._cache = (None,)  # an identity, not a missing forward
             return x
         # the mask (u >= rate) / keep, built in the draw's own buffer
         u = self._rng.uniform(x.shape)
-        self._mask = np.divide(u >= self.rate, 1.0 - self.rate, out=u)
-        return x * self._mask
+        mask = np.divide(u >= self.rate, 1.0 - self.rate, out=u)
+        self._cache = (mask,)
+        return x * mask
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        (mask,) = self._take_cache()
         if not input_grad:
             return None
-        if self._mask is None:
-            return upstream
-        return upstream * self._mask
+        return upstream if mask is None else upstream * mask
 
     def hyper(self):
         return {"rate": self.rate}
@@ -333,26 +345,25 @@ class BatchNorm(Layer):
         else:
             mu = self.state["running_mean"]
             var = self.state["running_var"]
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mu) * self._inv_std
-        self._train_batch = x.shape[0] if train else None
-        return self.params["gamma"] * self._xhat + self.params["beta"]
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mu) * inv_std
+        self._cache = (xhat, inv_std, x.shape[0] if train else None)
+        return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        xhat = self._xhat
+        xhat, inv_std, n = self._take_cache()
         if param_grads:
             np.sum(upstream * xhat, axis=0, out=self.grads["gamma"])
             np.sum(upstream, axis=0, out=self.grads["beta"])
         if not input_grad:
             return None
         dxhat = upstream * self.params["gamma"]
-        if self._train_batch is None:
+        if n is None:
             # inference-mode backward (frozen statistics) is a plain
             # elementwise scale
-            return dxhat * self._inv_std
-        n = self._train_batch
+            return dxhat * inv_std
         return (
-            self._inv_std
+            inv_std
             / n
             * (n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0))
         )
@@ -364,18 +375,15 @@ class BatchNorm(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def build(self, input_shape, rng):
-        self._n = int(np.prod(input_shape, dtype=np.int64))
-        super().build(input_shape, rng)
-
     def out_shape(self, input_shape):
         return (int(np.prod(input_shape, dtype=np.int64)),)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        self._shape = x.shape
-        return np.ascontiguousarray(x).reshape(x.shape[0], self._n)
+        self._cache = x.shape
+        return np.ascontiguousarray(x).reshape((len(x),) + self.out_shape(self.input_shape))
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        return upstream.reshape(self._shape) if input_grad else None
+        shape = self._take_cache()
+        return upstream.reshape(shape) if input_grad else None

@@ -12,9 +12,8 @@ GEMM before the forward loop, and backpropagation through time leaves
 ``dW``, ``dU``, ``db`` and ``dx`` to one GEMM or sum each after the
 backward loop. ``LSTM`` runs each step's elementwise work on small
 contiguous gate-major buffers and keeps its states time-major. Backward
-overwrites the per-step tensors that ``forward`` cached, so each forward
-serves one backward; a second backward, or one after a carried forward,
-raises ``ValueError``.
+overwrites the per-step tensors that ``forward`` cached; a carried
+forward caches nothing.
 """
 
 from __future__ import annotations
@@ -70,12 +69,11 @@ class _SequenceLayer(Layer):
         return proj, self._carry
 
     def _keep(self, x, cache, state):
-        """Store what backward needs, or, when carrying, the final state.
-        The input ``_x`` is kept apart from the cache and outlives
-        backward (perfbench's tracer reads the step count from it)."""
+        """Cache ``cache`` and then the input ``x``, or, when carrying, keep
+        the final state. ``_x`` outlives backward for perfbench's tracer."""
         self._x = x
         if self._carry is None:
-            self._cache = cache
+            self._cache = cache + (x,)
         else:
             self._cache, self._carry = None, state
 
@@ -84,6 +82,7 @@ class _SequenceLayer(Layer):
         return (t, self.units) if self.return_sequences else (self.units,)
 
     def _check_input(self, x):
+        self._cache = self._spent = None
         # time length may vary between calls; only features are fixed
         if x.ndim != 3 or x.shape[2] != self.input_shape[1]:
             raise ValueError(
@@ -137,19 +136,20 @@ class Embedding(Layer):
         if ids.ndim != 2:
             raise ValueError("embedding expects [batch, time] ids, got %s" % (ids.shape,))
         ids = ids.astype(np.int64)
-        if ids.min() < 0 or ids.max() >= self.vocab_size:
+        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValueError(
                 "token id out of range [0, %d): found %d"
                 % (self.vocab_size, ids.min() if ids.min() < 0 else ids.max())
             )
-        self._ids = ids
+        self._cache = ids
         return self.params["W"][ids]
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
+        ids = self._take_cache()
         if self.trainable and param_grads:
             dW = self.grads["W"]
             dW[...] = 0.0
-            np.add.at(dW, self._ids.reshape(-1), upstream.reshape(-1, self.dim))
+            np.add.at(dW, ids.reshape(-1), upstream.reshape(-1, self.dim))
         return None  # ids have no gradient
 
     def hyper(self):
@@ -184,9 +184,6 @@ class SimpleRNN(_SequenceLayer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        # drop the last call's cache before allocating this call's, so
-        # two batches' buffers are never alive at once
-        self._cache = None
         b, T, n_in = x.shape
         W, U, bias = self.params["W"], self.params["U"], self.params["b"]
         pres, (h,) = self._start((x.reshape(b * T, n_in) @ U).reshape(b, T, self.units))
@@ -200,21 +197,20 @@ class SimpleRNN(_SequenceLayer):
         return hs if self.return_sequences else h
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        pres, hs = self._take_cache()
-        x = self._x
+        pres, hs, x = self._take_cache()
         b, T, n_in = x.shape
         W, U = self.params["W"], self.params["U"]
         up = self._upstream_sequence(upstream, T)
-        # a fused loss has already differentiated through the step
-        # activation; only meaningful when this is the last layer
-        fused = preact and self.return_sequences
         # each step's delta overwrites that step's activation derivative
-        # (or, when fused, its preactivation)
-        deltas = pres if fused else self.activation.deriv(pres, hs)
+        deltas = self.activation.deriv(pres, hs)
         carry = np.zeros((b, self.units))
         for t in range(T - 1, -1, -1):
-            delta = up[:, t] + carry
-            if not fused:
+            if preact:
+                # a fused loss differentiated its own gradient through
+                # the step activation, but not the later steps' carry
+                delta = up[:, t] + carry * deltas[:, t]
+            else:
+                delta = up[:, t] + carry
                 delta *= deltas[:, t]
             deltas[:, t] = delta
             if t:
@@ -309,7 +305,6 @@ class LSTM(_SequenceLayer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        self._cache = None  # as in SimpleRNN.forward
         b, T, n_in = x.shape
         u = self.units
         W, U = self._blocks["W"], self._blocks["U"]
@@ -340,8 +335,7 @@ class LSTM(_SequenceLayer):
         return hs.transpose(1, 0, 2) if self.return_sequences else h
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        gates, cs, tcs, hs = self._take_cache()
-        x = self._x
+        gates, cs, tcs, hs, x = self._take_cache()
         b, T, n_in = x.shape
         u = self.units
         W, U = self._blocks["W"], self._blocks["U"]

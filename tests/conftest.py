@@ -117,6 +117,27 @@ def housing_csv(tmp_path_factory):
     return str(path), False
 
 
+def fd_grads(loss, eps, **arrays):
+    """Central differences of ``loss()`` with respect to each keyword
+    array, by the same names. Each array is perturbed through itself,
+    element by element: the reshape(-1) of a strided array (an LSTM gate
+    view, a transposed input) is a copy, which the perturbation would
+    not reach."""
+    grads = {}
+    for name, arr in arrays.items():
+        num = np.zeros(arr.shape)
+        for at in np.ndindex(arr.shape):
+            orig = arr[at]
+            arr[at] = orig + eps
+            hi = loss()
+            arr[at] = orig - eps
+            lo = loss()
+            arr[at] = orig
+            num[at] = (hi - lo) / (2 * eps)
+        grads[name] = num
+    return grads
+
+
 def warpeace_path():
     env = os.environ.get("MINIDL_WARPEACE")
     if env and os.path.exists(env):

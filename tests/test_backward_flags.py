@@ -10,7 +10,7 @@ from minidl import cli
 from minidl.conv import Conv2D, Pool2D
 from minidl.gan import default_image_gan
 from minidl.layers import BatchNorm, Dense, Dropout, Flatten
-from minidl.model import SequentialModel
+from minidl.model import LAYER_KINDS, SequentialModel
 from minidl.recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from minidl.tensor import Rng
 
@@ -120,32 +120,75 @@ def test_generator_step_never_reads_discriminator_grads():
     assert np.isnan(poisoned.discriminator.flat_grads).all()
 
 
-# one layer of each kind with parameters, with a per-sample input shape
-# and a batch of input for it
-PARAM_LAYERS = {
+# one layer of each kind, with a batch of input for it
+LAYERS = {
     "dense": (lambda: Dense(5, activation="leaky_relu"), lambda r: r.normal((4, 6))),
+    "dropout": (lambda: Dropout(0.5), lambda r: r.normal((4, 6))),
+    "batchnorm": (BatchNorm, lambda r: r.normal((6, 4))),
+    "flatten": (Flatten, lambda r: r.normal((2, 3, 4, 2))),
     "conv2d": (lambda: Conv2D(3, 3, padding="same", activation="relu"),
                lambda r: r.normal((2, 5, 5, 2))),
-    "batchnorm": (BatchNorm, lambda r: r.normal((6, 4))),
+    "pool2d": (lambda: Pool2D(2), lambda r: r.normal((2, 4, 4, 3))),
     "simple_rnn": (lambda: SimpleRNN(5, return_sequences=True), lambda r: r.normal((3, 4, 2))),
     "lstm": (lambda: LSTM(5, return_sequences=True), lambda r: r.normal((3, 4, 2))),
     "time_distributed_dense": (lambda: TimeDistributedDense(5, activation="tanh"),
                                lambda r: r.normal((3, 4, 2))),
     "embedding": (lambda: Embedding(9, 3), lambda r: r.integers(9, 12).reshape(3, 4)),
 }
+PARAM_KINDS = sorted(set(LAYERS) - {"dropout", "flatten", "pool2d"})
+FLAGS = [(i, p) for i in (True, False) for p in (True, False)]
 
 
-def built_layer(kind):
-    make, draw = PARAM_LAYERS[kind]
+def built_layer(kind, rows=None, train=True):
+    """A built layer of ``kind``, its input batch (or the batch's first
+    ``rows`` rows), after one forward, and an upstream gradient."""
+    make, draw = LAYERS[kind]
     rng = Rng(10)
-    x = draw(rng)
+    x = draw(rng)[:rows]
     layer = make()
     layer.build(x.shape[1:], rng)
-    out = layer.forward(x, train=True)
+    out = layer.forward(x, train=train)
     return layer, x, rng.normal(out.shape)
 
 
-@pytest.mark.parametrize("kind", sorted(PARAM_LAYERS))
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_each_forward_serves_one_backward(kind, train):
+    """Whatever the flags, a backward takes the forward's cache: a
+    second one, like one with no forward at all, raises ValueError
+    naming the kind."""
+    needs_forward = "^%s backward needs a forward first" % kind
+    for input_grad, param_grads in FLAGS:
+        layer, x, up = built_layer(kind, train=train)
+        layer.backward(up, input_grad=input_grad, param_grads=param_grads)
+        with pytest.raises(ValueError, match=needs_forward):
+            layer.backward(up)
+    fresh = LAYERS[kind][0]()
+    fresh.build(x.shape[1:], Rng(10))
+    with pytest.raises(ValueError, match=needs_forward):
+        fresh.backward(up)
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_empty_batch_runs_forward_and_backward(kind):
+    """A 0-row batch gives 0 rows out and back, and zero parameter
+    gradients where they are asked for."""
+    for train in (True, False):
+        for input_grad, param_grads in FLAGS:
+            layer, x, up = built_layer(kind, rows=0, train=train)
+            assert up.shape == (0,) + layer.out_shape(x.shape[1:])
+            for g in layer.grads.values():
+                g[...] = np.nan
+            dx = layer.backward(up, input_grad=input_grad, param_grads=param_grads)
+            if input_grad and kind != "embedding":
+                assert dx.shape == x.shape
+            else:
+                assert dx is None
+            for g in layer.grads.values():
+                assert (g == 0.0).all() if param_grads else np.isnan(g).all()
+
+
+@pytest.mark.parametrize("kind", PARAM_KINDS)
 def test_layer_without_param_grads_leaves_them_unread_and_unwritten(kind):
     layer, x, up = built_layer(kind)
     for g in layer.grads.values():
@@ -160,7 +203,7 @@ def test_layer_without_param_grads_leaves_them_unread_and_unwritten(kind):
         npt.assert_array_equal(dx, want)
 
 
-@pytest.mark.parametrize("kind", sorted(PARAM_LAYERS))
+@pytest.mark.parametrize("kind", PARAM_KINDS)
 def test_layer_without_input_grad_returns_none_and_same_param_grads(kind):
     layer, x, up = built_layer(kind)
     assert layer.backward(up, input_grad=False) is None

@@ -4,38 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import fd_grads
 from minidl import layers
 from minidl.conv import Conv2D
 from minidl.recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from minidl.tensor import Rng
-
-
-def fd_grad(arr, loss, eps):
-    """Central differences of ``loss()`` with respect to ``arr``, which is
-    perturbed through itself, element by element: the reshape(-1) of a
-    strided array is a copy, which the perturbation would not reach."""
-    num = np.zeros(arr.shape)
-    for at in np.ndindex(arr.shape):
-        orig = arr[at]
-        arr[at] = orig + eps
-        hi = loss()
-        arr[at] = orig - eps
-        lo = loss()
-        arr[at] = orig
-        num[at] = (hi - lo) / (2 * eps)
-    return num
-
-
-def fd_input_grad(layer, x, upstream, train=False, eps=1e-6):
-    """Numeric dL/dx for L = sum(forward(x) * upstream)."""
-    return fd_grad(x, lambda: np.sum(layer.forward(x, train=train) * upstream), eps)
-
-
-def fd_param_grad(layer, x, upstream, name, train=False, eps=1e-6):
-    """Numeric dL/dp for the parameter ``name``, L as above."""
-    return fd_grad(
-        layer.params[name], lambda: np.sum(layer.forward(x, train=train) * upstream), eps
-    )
 
 
 class TestDense:
@@ -94,14 +67,12 @@ class TestDense:
         layer.build((5,), rng)
         x = rng.normal((3, 5)) + 0.05  # nudge off relu kinks
         up = rng.normal((3, 4))
-        want_dx = fd_input_grad(layer, x, up)
-        want_dW = fd_param_grad(layer, x, up, "W")
-        want_db = fd_param_grad(layer, x, up, "b")
+        want = fd_grads(lambda: np.sum(layer.forward(x) * up), 1e-6, x=x, **layer.params)
         layer.forward(x)
         dx = layer.backward(up)
-        npt.assert_allclose(dx, want_dx, atol=1e-6)
-        npt.assert_allclose(layer.grads["W"], want_dW, atol=1e-6)
-        npt.assert_allclose(layer.grads["b"], want_db, atol=1e-6)
+        npt.assert_allclose(dx, want["x"], atol=1e-6)
+        npt.assert_allclose(layer.grads["W"], want["W"], atol=1e-6)
+        npt.assert_allclose(layer.grads["b"], want["b"], atol=1e-6)
 
     def test_rejects_wrong_width(self):
         layer = self.fixture()
@@ -182,7 +153,8 @@ class TestDropout:
         x = np.full((7, 6), 2.0)
         out = layer.forward(x, train=True)
         want = (Rng(4).uniform(x.shape) >= 0.3) / (1.0 - 0.3)
-        assert layer._mask.tobytes() == want.tobytes()
+        # backward of ones hands back the mask itself
+        assert layer.backward(np.ones(x.shape)).tobytes() == want.tobytes()
         assert out.tobytes() == (x * want).tobytes()
 
     def test_accepts_any_rank(self):
@@ -253,14 +225,14 @@ class TestBatchNorm:
         layer.params["gamma"][:] = rng.normal((4,))
         x = rng.normal((1, 4), std=1.5)
         up = rng.normal((1, 4))
-        want_dx = fd_input_grad(layer, x, up, train=True)
-        want_dg = fd_param_grad(layer, x, up, "gamma", train=True)
-        want_db = fd_param_grad(layer, x, up, "beta", train=True)
+        want = fd_grads(
+            lambda: np.sum(layer.forward(x, train=True) * up), 1e-6, x=x, **layer.params
+        )
         layer.forward(x, train=True)
         dx = layer.backward(up)
-        npt.assert_allclose(dx, want_dx, atol=1e-6)
-        npt.assert_allclose(layer.grads["gamma"], want_dg, atol=1e-6)
-        npt.assert_allclose(layer.grads["beta"], want_db, atol=1e-6)
+        npt.assert_allclose(dx, want["x"], atol=1e-6)
+        npt.assert_allclose(layer.grads["gamma"], want["gamma"], atol=1e-6)
+        npt.assert_allclose(layer.grads["beta"], want["beta"], atol=1e-6)
 
     def test_train_backward_matches_finite_differences(self):
         layer = layers.BatchNorm()
@@ -268,14 +240,14 @@ class TestBatchNorm:
         rng = Rng(11)
         x = rng.normal((6, 4), std=1.5)
         up = rng.normal((6, 4))
-        want_dx = fd_input_grad(layer, x, up, train=True)
-        want_dg = fd_param_grad(layer, x, up, "gamma", train=True)
-        want_db = fd_param_grad(layer, x, up, "beta", train=True)
+        want = fd_grads(
+            lambda: np.sum(layer.forward(x, train=True) * up), 1e-6, x=x, **layer.params
+        )
         layer.forward(x, train=True)
         dx = layer.backward(up)
-        npt.assert_allclose(dx, want_dx, atol=1e-6)
-        npt.assert_allclose(layer.grads["gamma"], want_dg, atol=1e-6)
-        npt.assert_allclose(layer.grads["beta"], want_db, atol=1e-6)
+        npt.assert_allclose(dx, want["x"], atol=1e-6)
+        npt.assert_allclose(layer.grads["gamma"], want["gamma"], atol=1e-6)
+        npt.assert_allclose(layer.grads["beta"], want["beta"], atol=1e-6)
 
     def test_inference_backward_is_frozen_scale(self):
         layer = layers.BatchNorm(eps=0.0)

@@ -4,23 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import fd_grads
 from minidl import losses
 from minidl.activations import sigmoid, softmax
-
-
-def numeric_grad(value_fn, x, eps=1e-6):
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + eps
-        up = value_fn()
-        flat[i] = old - eps
-        down = value_fn()
-        flat[i] = old
-        gf[i] = (up - down) / (2 * eps)
-    return g
 
 
 class TestMSE:
@@ -40,7 +26,7 @@ class TestMSE:
         rng = np.random.default_rng(0)
         pred = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))
-        num = numeric_grad(lambda: loss.value(pred, target), pred)
+        num = fd_grads(lambda: loss.value(pred, target), 1e-6, pred=pred)["pred"]
         npt.assert_allclose(loss.grad(pred, target), num, atol=1e-8)
 
     def test_shape_mismatch(self):
@@ -62,7 +48,7 @@ class TestMAE:
         loss = losses.MeanAbsoluteError()
         pred = np.array([[0.7, -1.3], [2.2, 0.4]])
         target = np.array([[0.1, 0.5], [-0.6, 1.0]])
-        num = numeric_grad(lambda: loss.value(pred, target), pred)
+        num = fd_grads(lambda: loss.value(pred, target), 1e-6, pred=pred)["pred"]
         npt.assert_allclose(loss.grad(pred, target), num, atol=1e-8)
 
 
@@ -96,7 +82,7 @@ class TestSoftmaxCrossEntropy:
         logits = rng.normal(size=(4, 5))
         target = np.zeros((4, 5))
         target[np.arange(4), rng.integers(0, 5, 4)] = 1.0
-        num = numeric_grad(lambda: loss.value(logits, target), logits)
+        num = fd_grads(lambda: loss.value(logits, target), 1e-6, logits=logits)["logits"]
         npt.assert_allclose(loss.grad(logits, target), num, atol=1e-8)
 
     def test_rejects_non_one_hot_rows(self):
