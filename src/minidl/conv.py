@@ -15,26 +15,36 @@ memory (``np.ascontiguousarray`` gives C order).
 
 Both directions run through one routine, ``_correlate``. The padded
 batch [c, b, hp, wp] is read as c rows of b*hp*wp values, so a kernel
-tap (ki, kj) is a shift of ki*dh*wp + kj*dw columns. Block kj of the
-width-lowered matrix holds the rows shifted by kj*dw columns: kw times
-the input rather than the kh*kw times of a full patch matrix (im2col).
-Each kernel row then adds one [f, kw*c] @ [kw*c, n] GEMM over a
-column-shifted slice of it, read in place, with the long axis as the
-GEMM's contiguous output dimension (the orientation of Chetlur et al.
-2014, arXiv:1410.0759). Output columns whose window straddles the
-right or bottom edge of an image (the last (kw - 1)*dw columns and
-(kh - 1)*dh rows of the padded grid) are dropped; a stride above one is
-computed at stride one and subsampled.
+tap (ki, kj) is a shift of ki*dh*wp + kj*dw columns. The routine works
+on blocks of whole images, as many as keep one block's lowered rows and
+partial sums within ``_BLOCK_BYTES`` (at least one image): the
+lowered-matrix tiling of Chetlur et al. 2014 (arXiv:1410.0759), with
+images as the tiles, so no lowered matrix of the whole batch is ever
+made. Block kj of a block's width-lowered matrix holds its rows shifted
+by kj*dw columns: kw times the input rather than the kh*kw times of a
+full patch matrix (im2col). Each kernel row then adds one
+[f, kw*c] @ [kw*c, n] GEMM over a column-shifted slice of it, read in
+place, with the long axis as the GEMM's contiguous output dimension,
+written straight into the block's columns of the whole batch's output.
+Output columns whose window straddles the right or bottom edge of an
+image (the last (kw - 1)*dw columns and (kh - 1)*dh rows of the padded
+grid) are dropped; a stride above one is computed at stride one and
+subsampled.
 
-Forward caches the kw-lowered padded input for the one backward that
-consumes it. Backward takes the weight gradient of kernel row ki as one
-GEMM of that matrix, shifted by ki*dh*wp columns, against the upstream
-gradient on the same stride-one grid (zeros at dropped and skipped
-positions). The input gradient is a full correlation: the same routine
-applied to that grid, after (kh - 1)*dh*wp + (kw - 1)*dw zero columns,
-with the flipped, transposed kernel W[::-1, ::-1].transpose(0, 1, 3, 2).
-Shifts that run off the start of an image row or image read dropped
-positions, which hold zeros.
+Forward caches the padded channel-major input for the one backward that
+consumes it. Backward writes the upstream gradient, times the
+activation derivative, one image at a time into a stride-one grid
+(zeros at dropped and skipped positions). It lowers the cached input
+again, one block at a time, and takes the weight gradient of kernel row
+ki as the sum over blocks of one GEMM of the block's lowered matrix,
+shifted by ki*dh*wp columns, against the block's columns of the grid.
+The input gradient is a full correlation: the same routine applied to
+that grid, after (kh - 1)*dh*wp + (kw - 1)*dw zero columns, with the
+flipped, transposed kernel W[::-1, ::-1].transpose(0, 1, 3, 2). Each
+block reads its columns of the grid together with those lead columns
+before it, which hold zeros: the grid's leading zeros, or the dropped
+positions at the end of the image before. Shifts that run off the start
+of an image row or image read dropped positions too.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ import numpy as np
 
 from . import activations
 from .layers import Layer, get_initializer, positive_int
+
+# bytes of one block's width-lowered rows and partial sums in _correlate
+_BLOCK_BYTES = 4 * 2**20
 
 
 def _positive_pair(name, v):
@@ -105,33 +118,79 @@ def _to_channel_major(dst, x):
         dst[:, i] = x[i].transpose(2, 0, 1)
 
 
-def _correlate(rows, width, kernel, dilation):
-    """Correlate ``rows`` [c, n], each channel's images flattened at row
-    length ``width``, with ``kernel`` [kh, kw, c, f]:
-
-        out[:, r] = sum over ki, kj of kernel[ki, kj].T @ rows[:, r + ki*dh*width + kj*dw]
-
-    ``out`` [f, n] has one column per input column; the last
-    (kh - 1)*dh*width + (kw - 1)*dw columns, whose taps would run past
-    the end, are zero. Returns ``out`` and the width-lowered rows."""
-    kh, kw, c, f = kernel.shape
+def _lowered_blocks(src, n, size, width, kernel_shape, dilation):
+    """Blocks of whole images of ``src`` [c, >= n] (``size`` columns
+    each), width-lowered for a kernel of ``kernel_shape`` [kh, kw, c, f]:
+    yields (lo, hi, lowered) for the output columns lo..hi of the first
+    n whose taps stay inside ``src``, where lowered [kw*c, ...] holds in
+    block kj the columns from lo + kj*dw on. A block holds as many
+    images as keep lowered and the [f, hi - lo] partial sums within
+    ``_BLOCK_BYTES``, and at least one."""
+    kh, kw, c, f = kernel_shape
     dh, dw = dilation
-    n = rows.shape[1]
-    m = max(n - (kw - 1) * dw, 0)
-    lowered = np.concatenate([rows[:, kj * dw : kj * dw + m] for kj in range(kw)])
-    n_out = max(m - (kh - 1) * dh * width, 0)
-    out = np.empty((f, n))
-    out[:, n_out:] = 0.0
-    part = np.empty((f, n_out))
-    for ki in range(kh):
-        lo = ki * dh * width
-        wk = kernel[ki].reshape(kw * c, f).T
-        if ki == 0:
-            np.matmul(wk, lowered[:, :n_out], out=out[:, :n_out])
-        else:
-            np.matmul(wk, lowered[:, lo : lo + n_out], out=part)
-            out[:, :n_out] += part
-    return out, lowered
+    reach = (kh - 1) * dh * width
+    end = min(n, src.shape[1] - reach - (kw - 1) * dw)
+    per = size * max(_BLOCK_BYTES // (8 * (kw * c + f) * size), 1)
+    buf = np.empty((kw, c, min(per, max(end, 0)) + reach))
+    for lo in range(0, end, per):
+        hi = min(lo + per, end)
+        m = hi - lo + reach
+        for kj in range(kw):
+            buf[kj, :, :m] = src[:, lo + kj * dw : lo + kj * dw + m]
+        yield lo, hi, buf.reshape(kw * c, -1)[:, :m]
+
+
+def _correlate(src, size, width, kernel, dilation, out):
+    """Correlate ``src`` [c, n'], each channel's images flattened at row
+    length ``width``, ``size`` columns per image, with ``kernel``
+    [kh, kw, c, f], into ``out`` [f, n]:
+
+        out[:, r] = sum over ki, kj of kernel[ki, kj].T @ src[:, r + ki*dh*width + kj*dw]
+
+    a block of images at a time (``_lowered_blocks``). Columns of
+    ``out`` whose taps would run past the end of ``src`` are zero."""
+    kh, kw, c, f = kernel.shape
+    end = 0
+    blocks = _lowered_blocks(src, out.shape[1], size, width, kernel.shape, dilation)
+    for lo, hi, lowered in blocks:
+        if not lo:  # the first block is the widest
+            part = np.empty((f, hi))
+        end = hi
+        for ki in range(kh):
+            shift = ki * dilation[0] * width
+            wk = kernel[ki].reshape(kw * c, f).T
+            rows = lowered[:, shift : shift + hi - lo]
+            if ki == 0:
+                np.matmul(wk, rows, out=out[:, lo:hi])
+            else:
+                np.matmul(wk, rows, out=part[:, : hi - lo])
+                out[:, lo:hi] += part[:, : hi - lo]
+    out[:, end:] = 0.0
+    return out
+
+
+def _weight_gradient(src, grad, size, width, dilation, dW):
+    """Write into ``dW`` [kh, kw, c, f] the kernel gradient of the
+    correlation of ``src`` [c, n] (``_correlate``) whose output gradient
+    is ``grad`` [f, n]:
+
+        dW[ki, kj] = sum over r of src[:, r + ki*dh*width + kj*dw] @ grad[:, r].T
+
+    over the columns r whose taps stay inside ``src``: kernel row ki as a
+    sum of one GEMM per block of images (``_lowered_blocks``)."""
+    kh, kw, c, f = dW.shape
+    dW = dW.reshape(kh, kw * c, f)
+    if not src.shape[1]:
+        dW[...] = 0.0
+    part = np.empty(dW.shape[1:])
+    blocks = _lowered_blocks(src, src.shape[1], size, width, (kh, kw, c, f), dilation)
+    for lo, hi, lowered in blocks:
+        for ki in range(kh):
+            shift = ki * dilation[0] * width
+            rows = lowered[:, shift : shift + hi - lo]
+            np.matmul(rows, grad[:, lo:hi].T, out=part if lo else dW[ki])
+            if lo:
+                dW[ki] += part
 
 
 class Conv2D(Layer):
@@ -193,45 +252,58 @@ class Conv2D(Layer):
         hp, wp = h + pt + pb, w + pl + pr
         xp = np.zeros((cin, b, hp, wp))
         _to_channel_major(xp[:, :, pt : pt + h, pl : pl + w], x)
-        out, lowered = _correlate(
-            xp.reshape(cin, b * hp * wp), wp, self.params["W"], self.dilation
-        )
+        out = np.empty((self.filters, b * hp * wp))
+        _correlate(xp.reshape(cin, -1), hp * wp, wp, self.params["W"], self.dilation, out)
         out = out.reshape(self.filters, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw]
         # a [b, oh, ow, f] view; the sum keeps its channel-major order
         pre = out.transpose(1, 2, 3, 0) + self.params["b"]
-        return self._activate(pre, lowered, (b, hp, wp, cin), geom)
+        return self._activate(pre, xp, geom)
+
+    def _place(self, grid, upstream, preact, pre, out):
+        """Write the gradient at the preactivation into ``grid``
+        [f, b, oh, ow]: ``upstream``, times the activation derivative
+        unless ``preact``, one image at a time."""
+        if preact:
+            _to_channel_major(grid, upstream)
+            return
+        deriv = self.activation.deriv
+        for i in range(len(upstream)):
+            np.multiply(
+                upstream[i].transpose(2, 0, 1),
+                deriv(pre[i], out[i]).transpose(2, 0, 1),
+                out=grid[:, i],
+            )
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
-        pre, out, lowered, (b, hp, wp, cin), (pt, pb, pl, pr, oh, ow) = self._take_cache()
-        delta = self._delta(upstream, preact, pre, out)
+        pre, out, xp, (pt, pb, pl, pr, oh, ow) = self._take_cache()
+        cin, b, hp, wp = xp.shape
         kh, kw = self.kernel_size
         sh, sw = self.stride
         dh, dw = self.dilation
         f = self.filters
         n = b * hp * wp
         lead = (kh - 1) * dh * wp + (kw - 1) * dw
-        # upstream gradient on the stride-one grid, after lead zero columns
+        # the gradient on the stride-one grid, after lead zero columns
         grid = np.zeros((f, lead + n))
         placed = grid[:, lead:]
-        _to_channel_major(
-            placed.reshape(f, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw], delta
+        self._place(
+            placed.reshape(f, b, hp, wp)[:, :, : oh * sh : sh, : ow * sw : sw],
+            upstream, preact, pre, out,
         )
         if param_grads:
-            valid = placed[:, : n - lead].T
-            dW = self.grads["W"].reshape(kh, kw * cin, f)
-            for ki in range(kh):
-                lo = ki * dh * wp
-                np.matmul(lowered[:, lo : lo + n - lead], valid, out=dW[ki])
+            _weight_gradient(
+                xp.reshape(cin, n), placed, hp * wp, wp, self.dilation, self.grads["W"]
+            )
             np.sum(placed, axis=1, out=self.grads["b"])
-        # free the forward's lowered input before the input gradient lowers its own
-        del lowered
+        # free the forward's cache before the input gradient allocates
+        del pre, out, xp
         self._spent = None
         if not input_grad:
             return None
         W = self.params["W"]
         flipped = np.ascontiguousarray(W[::-1, ::-1].transpose(0, 1, 3, 2))
-        dxp, _ = _correlate(grid, wp, flipped, self.dilation)
-        dxp = dxp[:, :n].reshape(cin, b, hp, wp)[:, :, pt : hp - pb, pl : wp - pr]
+        dxp = _correlate(grid, hp * wp, wp, flipped, self.dilation, np.empty((cin, n)))
+        dxp = dxp.reshape(cin, b, hp, wp)[:, :, pt : hp - pb, pl : wp - pr]
         return dxp.transpose(1, 2, 3, 0)
 
     def hyper(self):

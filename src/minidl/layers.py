@@ -205,13 +205,6 @@ class Layer:
         self._cache = (pre, out) + keep
         return out
 
-    def _delta(self, upstream, preact, pre, out):
-        """The gradient at ``pre``, whose activation is ``out``, unless
-        ``preact``: a fused loss already differentiated through it."""
-        if preact:
-            return upstream
-        return upstream * self.activation.deriv(pre, out)
-
     @property
     def preactivation(self):
         """The last forward's preactivation, until backward takes the cache."""
@@ -253,7 +246,8 @@ class Dense(Layer):
 
     def backward(self, upstream, preact=False, input_grad=True, param_grads=True):
         pre, out, x_rows = self._take_cache()
-        delta = self._delta(upstream, preact, pre, out)
+        # with ``preact`` a fused loss already differentiated through the activation
+        delta = upstream if preact else upstream * self.activation.deriv(pre, out)
         rows = delta.reshape(-1, self.units)
         if param_grads:
             np.matmul(x_rows.T, rows, out=self.grads["W"])

@@ -135,7 +135,8 @@ class SequentialModel:
         self.loss = losses_mod.get(loss)
         self.optimizer = optim_mod.get(optimizer) if isinstance(optimizer, str) else optimizer
         if self.loss.fused is not None:
-            act = getattr(self.layers[-1], "activation", None)
+            last = self.layers[-1]
+            act = getattr(last, "activation", None)
             if act is None or act.name != self.loss.fused:
                 raise ValueError(
                     "loss %s needs the final layer to apply %s, found %s"
@@ -144,6 +145,13 @@ class SequentialModel:
                         self.loss.fused,
                         act.name if act is not None else "no activation",
                     )
+                )
+            if act.name == "softmax" and isinstance(last, SimpleRNN):
+                # its backward needs the step activation's elementwise
+                # derivative for the carry, and softmax has none
+                raise ValueError(
+                    "layer %d (%s): loss %s cannot train through a recurrent softmax"
+                    % (len(self.layers) - 1, last.kind, self.loss.name)
                 )
         self._metrics = [(m, self._resolve_metric(m)) for m in metrics]
         self.compiled = True

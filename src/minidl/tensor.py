@@ -72,8 +72,10 @@ class Rng:
         u = np.empty(max(n, 0))
         for k in range(0, len(u), _BLOCK):
             block = self._units(u[k : k + _BLOCK], self._count + k)
-            block *= high - low
-            block += low
+            # [0, 1) is the units themselves: the scale and shift change no bit
+            if (low, high) != (0.0, 1.0):
+                block *= high - low
+                block += low
         self._count += len(u)
         if shape is None:
             return float(u[0])

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -410,6 +412,15 @@ def conv_outcome(layer, x, up, preact, input_grad, param_grads):
     ]
 
 
+def block_budget(layer, in_shape, images):
+    """Columns per padded image, and the ``_BLOCK_BYTES`` that puts
+    ``images`` images in each block of the layer's forward and weight
+    gradient."""
+    pt, pb, pl, pr, _, _ = layer._geometry(*in_shape[:2])
+    size = (in_shape[0] + pt + pb) * (in_shape[1] + pl + pr)
+    return size, images * 8 * (layer.kernel_size[1] * in_shape[2] + layer.filters) * size
+
+
 @st.composite
 def conv_cases(draw):
     kernel = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -422,14 +433,15 @@ def conv_cases(draw):
     h, w = (
         k + (k - 1) * (d - 1) + draw(st.integers(0, 4)) for k, d in zip(kernel, dilation)
     )
-    batch = draw(st.integers(0, 2))
+    batch = draw(st.integers(0, 4))
     return kernel, stride, dilation, padding, (h, w, cin), filters, batch
 
 
 class TestConv2DMatchesRowMajorReference:
     """The channel-major layer against the row-major one it replaced:
-    every GEMM runs in the other orientation, so BLAS may sum in another
-    order, and 1e-12 relative bounds the difference."""
+    every GEMM runs in the other orientation, over blocks of images, so
+    BLAS may sum in another order, and 1e-12 relative bounds the
+    difference."""
 
     @given(
         case=conv_cases(),
@@ -438,9 +450,11 @@ class TestConv2DMatchesRowMajorReference:
         input_grad=st.booleans(),
         param_grads=st.booleans(),
         seed=st.integers(0, 2**16),
+        images=st.integers(1, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_cases(self, case, activation, preact, input_grad, param_grads, seed):
+    def test_random_cases(self, case, activation, preact, input_grad, param_grads, seed,
+                          images):
         kernel, stride, dilation, padding, in_shape, filters, batch = case
         rng = Rng(seed)
         layers = [
@@ -453,8 +467,12 @@ class TestConv2DMatchesRowMajorReference:
         x = rng.normal((batch,) + in_shape)
         up = rng.normal((batch,) + layers[0].out_shape(in_shape))
         flags = preact, input_grad, param_grads
-        got = conv_outcome(layers[0], x, up, *flags)
-        fed_channel_major = conv_outcome(layers[1], channel_major(x), up, *flags)
+        # the input gradient's blocks differ when the channel and filter
+        # counts do
+        _, budget = block_budget(layers[0], in_shape, images)
+        with mock.patch.object(conv, "_BLOCK_BYTES", budget):
+            got = conv_outcome(layers[0], x, up, *flags)
+            fed_channel_major = conv_outcome(layers[1], channel_major(x), up, *flags)
         want = conv_outcome(layers[2], x, up, *flags)
         for g, c, r in zip(got, fed_channel_major, want):
             if r is None:
@@ -486,6 +504,106 @@ class TestConv2DMatchesRowMajorReference:
             assert out.transpose(3, 0, 1, 2).flags.c_contiguous
             # a cropped view of the padded gradient, in the same axis order
             assert dx.strides[3] > dx.strides[0] > dx.strides[1] > dx.strides[2]
+
+
+BLOCK_CASES = {
+    "same": dict(kernel_size=3, padding="same"),
+    "valid-stride2": dict(kernel_size=3, stride=2, padding="valid"),
+    "explicit-dilation2": dict(kernel_size=(3, 2), padding=2, dilation=2),
+    "same-stride2-dilation2": dict(
+        kernel_size=(2, 3), stride=(2, 1), padding="same", dilation=(1, 2)
+    ),
+}
+
+
+class TestConv2DImageBlocks:
+    """``_correlate`` and the weight gradient over blocks of one image and
+    of three, at batch sizes around the block size, against the row-major
+    reference (one GEMM per kernel row over the whole batch)."""
+
+    @pytest.mark.parametrize("images", [1, 3])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_match_the_row_major_reference(self, monkeypatch, case, images):
+        in_shape = (7, 6, 3)
+        layer, ref = (
+            cls(3, activation="relu", **BLOCK_CASES[case]) for cls in (conv.Conv2D, RowMajorConv2D)
+        )
+        layer.build(in_shape, Rng(5))
+        ref.build(in_shape, Rng(5))
+        # with as many filters as channels, every block of the forward,
+        # the weight gradient and the input gradient holds `images` images
+        size, budget = block_budget(layer, in_shape, images)
+        monkeypatch.setattr(conv, "_BLOCK_BYTES", budget)
+        widths = []
+
+        def recorded(*args):
+            for lo, hi, lowered in lowered_blocks(*args):
+                widths.append(hi - lo)
+                yield lo, hi, lowered
+
+        lowered_blocks = conv._lowered_blocks
+        monkeypatch.setattr(conv, "_lowered_blocks", recorded)
+        for batch in sorted({0, 1, images - 1, images, images + 1, 3 * images}):
+            x = Rng(batch).normal((batch,) + in_shape)
+            up = Rng(batch + 50).normal((batch,) + layer.out_shape(in_shape))
+            for flags in itertools.product([False, True], repeat=3):
+                del widths[:]
+                got = conv_outcome(layer, x, up, *flags)
+                want = conv_outcome(ref, x, up, *flags)
+                for g, r in zip(got, want):
+                    if r is None:
+                        assert g is None
+                    else:
+                        assert_rel_close(g, r)
+                assert max(widths, default=0) <= images * size
+                calls = 1 + flags[1] + flags[2]
+                assert len(widths) == calls * -(-batch // images)
+
+    @pytest.mark.parametrize(
+        "activation, preact",
+        [("relu", False), ("linear", False), ("sigmoid", False), ("relu", True)],
+    )
+    def test_gradient_grid_has_the_whole_batch_delta_bits(self, activation, preact):
+        # the per-image product against the whole batch's, placed in one
+        # copy as the layer did before
+        class WholeBatchDelta(conv.Conv2D):
+            def _place(self, grid, upstream, preact, pre, out):
+                delta = upstream if preact else upstream * self.activation.deriv(pre, out)
+                conv._to_channel_major(grid, delta)
+
+        in_shape = (9, 8, 3)
+        layers = [
+            cls(4, (3, 2), stride=(2, 1), padding="same", activation=activation)
+            for cls in (conv.Conv2D, WholeBatchDelta)
+        ]
+        for layer in layers:
+            layer.build(in_shape, Rng(8))
+        x = Rng(9).normal((5,) + in_shape)
+        up = Rng(10).normal((5,) + layers[0].out_shape(in_shape))
+        for fed in (x, channel_major(x)):
+            got, want = (conv_outcome(layer, fed, up, preact, True, True) for layer in layers)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_backward_memory_is_bounded_by_the_block_budget(self):
+        # at batch 128 the lowered input of the whole batch would be 8 MB
+        # and each [f, n] partial sum 2.7 MB: beyond this bound
+        layer = conv.Conv2D(8, 3, padding="same", activation="relu")
+        in_shape = (16, 16, 8)
+        layer.build(in_shape, Rng(0))
+        x = Rng(1).normal((128,) + in_shape)
+        up = Rng(2).normal((128,) + in_shape[:2] + (8,))
+        n = 128 * 18 * 18
+        grid_and_dx = 8 * (8 * (n + 2 * 18 + 2) + 8 * n)
+        layer.forward(x)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            layer.backward(up)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert transient <= grid_and_dx + conv._BLOCK_BYTES + 2**18, transient
 
 
 def image_classifier(seed):

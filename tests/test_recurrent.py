@@ -278,15 +278,20 @@ class TestSimpleRNN:
         for name in ("W", "U", "b"):
             npt.assert_allclose(layer.grads[name], want[name], atol=1e-8)
 
-    def test_fused_softmax_loss_raises(self):
-        # a softmax has no elementwise derivative for the carry to take
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_fused_softmax_loss_refused_at_compile(self, return_sequences):
+        # a softmax has no elementwise derivative for the carry to take,
+        # and a last-step output is not the whole step sequence's logits
         model = SequentialModel(
-            [recurrent.SimpleRNN(3, activation="softmax", return_sequences=True)], seed=1
+            [
+                recurrent.TimeDistributedDense(2),
+                recurrent.SimpleRNN(3, activation="softmax", return_sequences=return_sequences),
+            ],
+            seed=1,
         )
-        model.compile((4, 2), "categorical_crossentropy", "sgd")
-        y = np.eye(3)[Rng(3).integers(3, 8)].reshape(2, 4, 3)
-        with pytest.raises(NotImplementedError, match="softmax"):
-            model.train_on_batch(Rng(2).normal((2, 4, 2)), y)
+        with pytest.raises(ValueError, match=r"layer 1 \(simple_rnn\).*recurrent softmax"):
+            model.compile((4, 2), "categorical_crossentropy", "sgd")
+        assert not model.compiled
 
     def test_variable_time_length(self):
         layer = recurrent.SimpleRNN(4)

@@ -179,3 +179,16 @@ def test_interleaved_blocked_draws_equal_the_whole_array_formulas():
         assert_same_draw(got.normal(shape, 1.0, 3.0), want.normal(shape, 1.0, 3.0))
         assert got._count == want._count
     assert got.randint(1000) == min(int(want.uniform() * 1000), 999)
+
+
+@pytest.mark.parametrize("offset", [0, 5, BLOCK - 3])
+def test_default_uniform_is_the_explicit_formula_across_a_block_boundary(offset):
+    # [0, 1) draws skip the scale by high - low and the shift by low:
+    # u * 1.0 + 0.0 is u, bit for bit, for every u in [0, 1)
+    got, ref = Rng(77), WholeArrayRng(77)
+    got.uniform((offset,))
+    ref._raw(offset)
+    raw = ref._raw(BLOCK + 9)
+    units = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    assert_same_draw(got.uniform((BLOCK + 9,)), units * (1.0 - 0.0) + 0.0)
+    assert_same_draw(got.uniform((4,), 0.0, 2.0), ref.uniform((4,), 0.0, 2.0))
