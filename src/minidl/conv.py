@@ -51,23 +51,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import activations
-from .layers import Layer, get_initializer, positive_int
+from .layers import Layer, _activation, _Arg, _checker, _count, _initializer, _padding, _pair
 
 # bytes of one block's width-lowered rows and partial sums in _correlate
 _BLOCK_BYTES = 4 * 2**20
-
-
-def _positive_pair(name, v):
-    """An int or a pair of ints as a pair, each at least 1, or
-    ValueError naming the argument."""
-    pair = tuple(v) if isinstance(v, (tuple, list)) else (v, v)
-    if len(pair) != 2:
-        raise ValueError("%s must be an int or a pair, got %r" % (name, v))
-    pair = int(pair[0]), int(pair[1])
-    if min(pair) < 1:
-        raise ValueError("%s must be at least 1, got %r" % (name, v))
-    return pair
 
 
 def conv_output_size(n, k, stride, pad_lo, pad_hi, dilation=1):
@@ -92,23 +79,6 @@ def _resolve_padding(padding, n, k, stride, dilation):
         lo = total // 2
         return lo, total - lo
     return padding, padding
-
-
-def _check_padding(padding):
-    """"valid", "same", or a whole number of at least 0 as an int; else
-    ValueError."""
-    if padding in ("valid", "same"):
-        return padding
-    try:
-        p = int(padding)
-    except (TypeError, ValueError, OverflowError):
-        p = None
-    if isinstance(padding, (str, bool)) or p is None or p != padding or p < 0:
-        raise ValueError(
-            'padding must be "valid", "same" or a whole number of at least 0, got %r'
-            % (padding,)
-        )
-    return p
 
 
 def _to_channel_major(dst, x):
@@ -196,36 +166,20 @@ def _weight_gradient(src, grad, size, width, dilation, dW):
 class Conv2D(Layer):
     kind = "conv2d"
     _rank, _form = 3, "[height, width, channels]"
+    _args = (
+        _Arg("filters", _count),
+        _Arg("kernel_size", _pair),
+        _Arg("stride", _pair, 1),
+        _Arg("padding", _padding, "valid"),
+        _Arg("dilation", _pair, 1),
+        _Arg("activation", _activation, "linear"),
+        _Arg("init", _initializer, "glorot", saved=False),
+    )
 
-    def __init__(
-        self,
-        filters,
-        kernel_size,
-        stride=1,
-        padding="valid",
-        dilation=1,
-        activation="linear",
-        init="glorot",
-    ):
-        super().__init__()
-        self.filters = positive_int("filters", filters)
-        self.kernel_size = _positive_pair("kernel_size", kernel_size)
-        self.stride = _positive_pair("stride", stride)
-        self.padding = _check_padding(padding)
-        self.dilation = _positive_pair("dilation", dilation)
-        self.activation = activations.get(activation)
-        self._init_spec = init
+    _drawn = ("W",)
 
-    def _init_params(self, input_shape, rng):
-        kh, kw = self.kernel_size
-        cin = input_shape[2]
-        fan_in = kh * kw * cin
-        fan_out = kh * kw * self.filters
-        init = get_initializer(self._init_spec)
-        return {
-            "W": init((kh, kw, cin, self.filters), rng, fan_in, fan_out),
-            "b": np.zeros(self.filters),
-        }
+    def _shapes(self, input_shape):
+        return {"W": self.kernel_size + (input_shape[2], self.filters), "b": (self.filters,)}, {}
 
     def _geometry(self, h, w):
         kh, kw = self.kernel_size
@@ -306,16 +260,6 @@ class Conv2D(Layer):
         dxp = dxp.reshape(cin, b, hp, wp)[:, :, pt : hp - pb, pl : wp - pr]
         return dxp.transpose(1, 2, 3, 0)
 
-    def hyper(self):
-        return {
-            "filters": self.filters,
-            "kernel_size": list(self.kernel_size),
-            "stride": list(self.stride),
-            "padding": self.padding,
-            "dilation": list(self.dilation),
-            "activation": self.activation.name,
-        }
-
 
 class Pool2D(Layer):
     """Max or average pooling; ``pool_size`` and ``stride`` (default: the
@@ -327,14 +271,14 @@ class Pool2D(Layer):
 
     kind = "pool2d"
     _rank, _form = 3, "[height, width, channels]"
+    _args = (
+        _Arg("pool_size", _pair),
+        _Arg("stride", _pair, None),
+        _Arg("mode", _checker("max or avg", lambda v: v in ("max", "avg")), "max"),
+    )
 
     def __init__(self, pool_size, stride=None, mode="max"):
-        super().__init__()
-        if mode not in ("max", "avg"):
-            raise ValueError("pool mode must be max or avg, got %r" % (mode,))
-        self.pool_size = _positive_pair("pool_size", pool_size)
-        self.stride = _positive_pair("stride", pool_size if stride is None else stride)
-        self.mode = mode
+        super().__init__(pool_size, pool_size if stride is None else stride, mode)
 
     def out_shape(self, input_shape):
         h, w, c = input_shape
@@ -390,10 +334,3 @@ class Pool2D(Layer):
             taken |= hit
             dview += upstream * hit
         return dx
-
-    def hyper(self):
-        return {
-            "pool_size": list(self.pool_size),
-            "stride": list(self.stride),
-            "mode": self.mode,
-        }

@@ -7,12 +7,16 @@ ValueError naming the kind. A forward that checks its input
 (``_check_input``) drops the last cache, taken or not, before it
 allocates. ``_activate`` caches the preactivation and output first;
 ``preactivation`` reads them until backward.
-``Layer.build`` is every layer's build: it checks the per-sample input
-rank against the class constants ``_rank`` and ``_form`` ("<kind>
-expects <form> input, got shape ..."), takes ``self.params`` from the
-hook ``_init_params(input_shape, rng)``, which makes the layer's
-``rng`` draws, and gives each trainable parameter a zero gradient array
-of its shape in ``self.grads``, keyed like ``self.params``. A parameter
+Each layer kind declares its constructor arguments once, in ``_args``
+(name, checker, default: ``_Arg``), and in ``_shapes(input_shape)`` the
+shapes of its parameters and state. The constructor, ``hyper()`` (so the
+model file) and ``load_model``'s check of a file's block table before it
+builds anything all read them. A refused argument raises ValueError naming
+it. ``Layer.build`` checks the per-sample input rank against ``_rank`` and
+``_form`` ("<kind> expects <form> input, got shape ..."), allocates zeros
+of the declared shapes, lets ``_init_params(rng)`` write initial values
+with all the layer's ``rng`` draws, and gives each trainable parameter a
+zero gradient array in ``self.grads``, keyed like ``self.params``. A parameter
 is changed by writing into it, never by rebinding its entry: an entry
 may be a view of a larger storage block (``Layer.storage``), and once a
 model is compiled both dicts hold views into the model's flat parameter
@@ -41,11 +45,16 @@ the final layer of a model should ever see preact=True.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
+import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import activations
+from .activations import Activation
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +94,6 @@ def random_normal(std=0.02):
     return init
 
 
-def positive_int(name, value):
-    """``int(value)``, or ValueError naming the argument when it is
-    below one or has no integer value (infinite, NaN)."""
-    try:
-        n = int(value)
-    except (OverflowError, ValueError):
-        raise ValueError("%s must be a whole number, got %r" % (name, value)) from None
-    if n < 1:
-        raise ValueError("%s must be at least 1, got %r" % (name, value))
-    return n
-
-
 def get_initializer(spec):
     """Resolve an initializer: a callable passes through, a string names
     a family, and ("normal", std) fixes the spread explicitly."""
@@ -115,6 +112,67 @@ def get_initializer(spec):
     raise ValueError("unknown initializer %r" % (spec,))
 
 
+# A layer kind's constructor argument: its name; check(name, value), which
+# returns what the layer keeps or raises ValueError naming the argument; its
+# default (empty: none); and whether hyper() records it: True, False, or saved(layer).
+_Arg = namedtuple("_Arg", "name check default saved", defaults=(inspect.Parameter.empty, True))
+
+
+def _real(value):
+    """Whether ``value`` is a real number and not a bool. A range check
+    after it refuses NaN, which fails every comparison."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(name, value, least=1, what="a whole number"):
+    """``value`` as an int: a whole number (an integer, or a finite float
+    with a whole value; not a bool) of at least ``least``."""
+    if not (_real(value) and (isinstance(value, numbers.Integral)
+                              or math.isfinite(value) and float(value).is_integer())):
+        raise ValueError("%s must be %s, got %r" % (name, what, value))
+    if value < least:
+        raise ValueError("%s must be at least %d, got %r" % (name, least, value))
+    return int(value)
+
+
+def _pair(name, value):
+    """A count (``_count``) or a pair of them, as a pair."""
+    pair = tuple(value) if isinstance(value, (tuple, list)) else (value, value)
+    if len(pair) != 2:
+        raise ValueError("%s must be a whole number or a pair, got %r" % (name, value))
+    return _count(name, pair[0]), _count(name, pair[1])
+
+
+def _padding(name, value):
+    """"valid", "same", or a whole number of at least 0 as an int."""
+    if isinstance(value, str) and value in ("valid", "same"):
+        return value
+    return _count(name, value, 0, '"valid", "same" or a whole number')
+
+
+def _checker(what, test, keep=None):
+    """A check that refuses each value ``test`` does not accept as not
+    ``what``, and keeps ``keep(value)``, or the value as given."""
+    def check(name, value):
+        if not test(value):
+            raise ValueError("%s must be %s, got %r" % (name, what, value))
+        return value if keep is None else keep(value)
+
+    return check
+
+
+def _initializer(name, value):
+    """The initializer ``get_initializer`` resolves ``value`` to."""
+    try:
+        return get_initializer(value)
+    except (TypeError, ValueError) as e:
+        raise ValueError("%s: %s" % (name, e)) from None
+
+
+_flag = _checker("True or False", lambda v: isinstance(v, (bool, np.bool_)), bool)
+_activation = _checker("an activation name", lambda v: isinstance(v, (str, Activation)))
+
+
 # ---------------------------------------------------------------------------
 # base layer
 # ---------------------------------------------------------------------------
@@ -125,30 +183,77 @@ class Layer:
     # the per-sample input rank ``build`` accepts, and its description
     # in the message for any other rank; None accepts every rank
     _rank = _form = None
+    # the constructor's arguments, in order, and the parameters ``_init_params`` draws
+    _args = _drawn = ()
 
-    def __init__(self):
+    def __init_subclass__(cls):
+        cls.__signature__ = inspect.Signature([
+            inspect.Parameter(a.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=a.default)
+            for a in cls._args
+        ])
+
+    def __init__(self, *args, **kwargs):
+        """Bind the arguments to ``_args`` (TypeError as for any call) and
+        keep each, checked, as the attribute of its name. An ``activation``
+        becomes an ``Activation``, a leaky_relu with the ``leaky_slope``."""
         self.params = {}
         self.grads = {}
         self.state = {}  # saved but not optimized (running stats)
         self.trainable = True
+        given = self.__signature__.bind(*args, **kwargs)
+        given.apply_defaults()
+        for arg in self._args:
+            setattr(self, arg.name, arg.check(arg.name, given.arguments[arg.name]))
+        if "activation" in given.arguments:
+            self.activation = activations.get(
+                self.activation, slope=getattr(self, "leaky_slope", 0.2)
+            )
 
-    def build(self, input_shape, rng):
-        """Check the input rank, record the shape, create the parameters
-        and their gradients (module docstring), then ``_bind``."""
+    def hyper(self):
+        """The recorded constructor arguments (``_Arg.saved``) that rebuild
+        the layer, the activation by its name (a manifest writes pairs as lists)."""
+        hyper = {}
+        for arg in self._args:
+            if arg.saved(self) if callable(arg.saved) else arg.saved:
+                value = getattr(self, arg.name)
+                hyper[arg.name] = value.name if isinstance(value, Activation) else value
+        return hyper
+
+    def _declared(self, input_shape):
+        """Check the input rank, then ``_shapes(input_shape)``."""
         if self._rank is not None and len(input_shape) != self._rank:
             raise ValueError(
                 "%s expects %s input, got shape %s" % (self.kind, self._form, tuple(input_shape))
             )
+        return self._shapes(input_shape)
+
+    def _shapes(self, input_shape):
+        """The shapes of the parameters and of the state the layer holds
+        for ``input_shape``: two dicts, name to shape; none by default."""
+        return {}, {}
+
+    def build(self, input_shape, rng):
+        """Check the input rank, record the shape, allocate the parameters
+        and state ``_shapes`` declares, let ``_init_params`` draw into them,
+        create the gradients (module docstring), then ``_bind``."""
+        params, state = self._declared(input_shape)
         self.input_shape = tuple(input_shape)
-        self.params = self._init_params(self.input_shape, rng)
+        self.params = {k: np.zeros(shape) for k, shape in params.items()}
+        self.state = {k: np.zeros(shape) for k, shape in state.items()}
+        self._init_params(rng)
         self.grads = (
             {k: np.zeros_like(p) for k, p in self.params.items()} if self.trainable else {}
         )
         self._bind()
 
-    def _init_params(self, input_shape, rng):
-        """The parameters for this input shape, by name; none by default."""
-        return {}
+    def _init_params(self, rng):
+        """Write the initial values over the zeros ``build`` allocated, with
+        all of the layer's ``rng`` draws: by default each ``_drawn`` parameter
+        in turn from ``self.init``, fans from its shape [..., fan_in, fan_out]."""
+        for k in self._drawn:
+            p = self.params[k]
+            p[...] = self.init(p.shape, rng, math.prod(p.shape[:-1]),
+                               math.prod(p.shape[:-2]) * p.shape[-1])
 
     def storage(self):
         """The arrays this layer's parameters and their gradients live
@@ -187,10 +292,6 @@ class Layer:
     def param_count(self):
         return int(sum(p.size for p in self.params.values()))
 
-    def hyper(self):
-        """Constructor arguments needed to rebuild the layer."""
-        return {}
-
     def _check_input(self, x):
         self._cache = self._spent = None
         if x.shape[1:] != self.input_shape:
@@ -220,18 +321,19 @@ class Dense(Layer):
 
     kind = "dense"
     _rank, _form = 1, "flat per-sample"
+    _args = (
+        _Arg("units", _count),
+        _Arg("activation", _activation, "linear"),
+        _Arg("init", _initializer, "glorot", saved=False),
+        # recorded as given, and only where it acts
+        _Arg("leaky_slope", _checker("in (0, 1]", lambda v: _real(v) and 0 < v <= 1), 0.2,
+             saved=lambda layer: layer.activation.name == "leaky_relu"),
+    )
 
-    def __init__(self, units, activation="linear", init="glorot", leaky_slope=0.2):
-        super().__init__()
-        self.units = positive_int("units", units)
-        self.activation = activations.get(activation, slope=leaky_slope)
-        self._init_spec = init
-        self._leaky_slope = leaky_slope
+    _drawn = ("W",)
 
-    def _init_params(self, input_shape, rng):
-        n_in = input_shape[-1]
-        init = get_initializer(self._init_spec)
-        return {"W": init((n_in, self.units), rng, n_in, self.units), "b": np.zeros(self.units)}
+    def _shapes(self, input_shape):
+        return {"W": (input_shape[-1], self.units), "b": (self.units,)}, {}
 
     def out_shape(self, input_shape):
         return tuple(input_shape[:-1]) + (self.units,)
@@ -256,12 +358,6 @@ class Dense(Layer):
             return None
         return (rows @ self.params["W"].T).reshape(delta.shape[:-1] + x_rows.shape[1:])
 
-    def hyper(self):
-        h = {"units": self.units, "activation": self.activation.name}
-        if self.activation.name == "leaky_relu":
-            h["leaky_slope"] = self._leaky_slope
-        return h
-
 
 class Dropout(Layer):
     """Inverted dropout. ``rate`` is the probability an activation is
@@ -269,16 +365,10 @@ class Dropout(Layer):
     so inference is a plain identity."""
 
     kind = "dropout"
+    _args = (_Arg("rate", _checker("in [0, 1)", lambda v: _real(v) and 0 <= v < 1, float)),)
 
-    def __init__(self, rate):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1), got %r" % (rate,))
-        self.rate = float(rate)
-
-    def build(self, input_shape, rng):
+    def _init_params(self, rng):
         self._rng = rng
-        super().build(input_shape, rng)
 
     def forward(self, x, train=False):
         # shape-agnostic; the mask is drawn fresh for whatever arrives
@@ -298,9 +388,6 @@ class Dropout(Layer):
             return None
         return upstream if mask is None else upstream * mask
 
-    def hyper(self):
-        return {"rate": self.rate}
-
 
 class BatchNorm(Layer):
     """Batch normalization over the feature axis of 2-D input.
@@ -314,16 +401,18 @@ class BatchNorm(Layer):
 
     kind = "batchnorm"
     _rank, _form = 1, "flat per-sample"
+    _args = (
+        _Arg("momentum", _checker("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, float), 0.99),
+        _Arg("eps", _checker("finite and at least 0",
+                             lambda v: _real(v) and 0 <= v <= sys.float_info.max, float), 1e-3),
+    )
 
-    def __init__(self, momentum=0.99, eps=1e-3):
-        super().__init__()
-        self.momentum = float(momentum)
-        self.eps = float(eps)
+    def _shapes(self, shape):
+        return {"gamma": shape, "beta": shape}, {"running_mean": shape, "running_var": shape}
 
-    def _init_params(self, input_shape, rng):
-        n = input_shape[0]
-        self.state = {"running_mean": np.zeros(n), "running_var": np.ones(n)}
-        return {"gamma": np.ones(n), "beta": np.zeros(n)}
+    def _init_params(self, rng):
+        self.params["gamma"][...] = 1.0
+        self.state["running_var"][...] = 1.0
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -362,15 +451,12 @@ class BatchNorm(Layer):
             * (n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0))
         )
 
-    def hyper(self):
-        return {"momentum": self.momentum, "eps": self.eps}
-
 
 class Flatten(Layer):
     kind = "flatten"
 
     def out_shape(self, input_shape):
-        return (int(np.prod(input_shape, dtype=np.int64)),)
+        return (math.prod(input_shape),)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)

@@ -121,16 +121,9 @@ class SequentialModel:
         attach loss, optimizer, and metric functions."""
         if not self.layers:
             raise ValueError("model has no layers")
-        shape = tuple(int(d) for d in input_shape)
-        self.input_shape = shape
-        for i, layer in enumerate(self.layers):
-            try:
-                layer.build(shape, self.rng)
-                out = layer.out_shape(shape)
-            except ValueError as e:
-                raise ValueError("layer %d (%s): %s" % (i, layer.kind, e)) from None
-            shape = tuple(int(d) for d in out)
-        self.output_shape = shape
+        self.input_shape = tuple(int(d) for d in input_shape)
+        self.output_shape = self._through(
+            self.input_shape, lambda i, layer, shape: layer.build(shape, self.rng))
         self._flatten()
         self.loss = losses_mod.get(loss)
         self.optimizer = optim_mod.get(optimizer) if isinstance(optimizer, str) else optimizer
@@ -156,6 +149,18 @@ class SequentialModel:
         self._metrics = [(m, self._resolve_metric(m)) for m in metrics]
         self.compiled = True
         return self
+
+    def _through(self, shape, visit):
+        """Call ``visit(i, layer, its input shape)`` on each layer, from the
+        model input ``shape`` on; return the output shape. Errors name the layer."""
+        for i, layer in enumerate(self.layers):
+            try:
+                visit(i, layer, shape)
+                out = layer.out_shape(shape)
+            except ValueError as e:
+                raise ValueError("layer %d (%s): %s" % (i, layer.kind, e)) from None
+            shape = tuple(int(d) for d in out)
+        return shape
 
     def _flatten(self):
         """Move the trainable parameters into one vector, ``flat_params``,
@@ -423,13 +428,9 @@ class SequentialModel:
     def summary(self):
         self._require_compiled()
         lines = ["%-4s %-24s %-20s %12s" % ("#", "layer", "output shape", "params")]
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            shape = layer.out_shape(shape)
-            lines.append(
-                "%-4d %-24s %-20s %12d"
-                % (i, layer.kind, str(tuple(shape)), layer.param_count())
-            )
+        self._through(self.input_shape, lambda i, layer, shape: lines.append(
+            "%-4d %-24s %-20s %12d"
+            % (i, layer.kind, str(tuple(layer.out_shape(shape))), layer.param_count())))
         lines.append("total params: %d" % self.total_params())
         return "\n".join(lines)
 
@@ -452,10 +453,7 @@ class SequentialModel:
 
     def _blocks(self):
         for i, layer in enumerate(self.layers):
-            for k in sorted(layer.params):
-                yield "layer%d/%s" % (i, k), layer.params[k]
-            for k in sorted(layer.state):
-                yield "layer%d/state/%s" % (i, k), layer.state[k]
+            yield from _named_blocks(i, layer.params, layer.state)
 
     def save(self, path):
         """Serialize architecture and weights; see the module docstring
@@ -480,20 +478,13 @@ class SequentialModel:
             f.write(payload)
             f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
-    def _apply_arrays(self, blocks):
-        """Copy a file's (name, array) blocks into the model. They must be
-        the (name, shape) table ``save`` writes for this model, in order."""
-        ours = list(self._blocks())
-        got = [(name, a.shape) for name, a in blocks]
-        want = [(name, a.shape) for name, a in ours]
-        if got != want:
-            i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip_longest(got, want)) if g != w)
-            raise ModelFileError(
-                "architecture mismatch at block %d: the file has %s, the model %s"
-                % (i, g or "no block", w or "no block")
-            )
-        for (_, a), (_, b) in zip(blocks, ours):
-            b[...] = a
+
+def _named_blocks(i, params, state):
+    """(block name, entry) of layer ``i``'s parameters, then its state, in file order."""
+    for k in sorted(params):
+        yield "layer%d/%s" % (i, k), params[k]
+    for k in sorted(state):
+        yield "layer%d/state/%s" % (i, k), state[k]
 
 
 def _check_batch_size(batch_size):
@@ -503,8 +494,9 @@ def _check_batch_size(batch_size):
 
 def load_model(path, seed=0):
     """Rebuild a model from a saved file: layers from the manifest, then
-    weights. The optimizer comes back as its kind with default settings,
-    which is enough for inference and fresh fine-tuning."""
+    weights, once the file's block table is the one the manifest implies
+    (checked before anything is allocated). The optimizer comes back as its
+    kind with default settings, enough for inference and fresh fine-tuning."""
     manifest, blocks = _read_model_file(path)
     layers = []
     for i, entry in enumerate(manifest["layers"]):
@@ -513,20 +505,29 @@ def load_model(path, seed=0):
             raise ModelFileError("unknown layer kind %r in file" % (kind,))
         try:
             layers.append(LAYER_KINDS[kind](**entry["hyper"]))
-        except (TypeError, KeyError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError) as e:
             raise ModelFileError(
                 "cannot rebuild layer %d (%s) from the file: %s" % (i, kind, e)
             ) from None
     model = SequentialModel(layers, seed=seed)
+    got = [(name, a.shape) for name, a in blocks]
+    want = []  # the table save would write, from the shapes each layer declares
     try:
-        model.compile(
-            tuple(manifest["input_shape"]),
-            manifest["loss"] or "mse",
-            manifest["optimizer"] or "sgd",
-        )
-    except (ValueError, OverflowError) as e:
+        model._through(tuple(manifest["input_shape"]), lambda i, layer, shape: want.extend(
+            _named_blocks(i, *layer._declared(shape))))
+        if got == want:  # build only what the file holds
+            model.compile(manifest["input_shape"], manifest["loss"] or "mse",
+                          manifest["optimizer"] or "sgd")
+    except ValueError as e:
         raise ModelFileError("cannot rebuild the model from the file: %s" % (e,)) from None
-    model._apply_arrays(blocks)
+    if got != want:
+        i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip_longest(got, want)) if g != w)
+        raise ModelFileError(
+            "architecture mismatch at block %d: the file has %s, the manifest %s"
+            % (i, g or "no block", w or "no block")
+        )
+    for (_, a), (_, b) in zip(blocks, model._blocks()):
+        b[...] = a
     return model
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-from .layers import Dense, Layer, get_initializer, positive_int
+from .layers import Dense, Layer, _activation, _Arg, _count, _flag, _initializer
 
 
 def _previous(seq):
@@ -110,23 +110,24 @@ class Embedding(Layer):
 
     kind = "embedding"
     _rank, _form = 1, "[time] integer"
+    _args = (
+        _Arg("vocab_size", _count),
+        _Arg("dim", _count),
+        _Arg("weights", lambda name, value: value, None, saved=False),
+        _Arg("trainable", _flag, True),
+    )
 
-    def __init__(self, vocab_size, dim, weights=None, trainable=True):
-        super().__init__()
-        self.vocab_size = positive_int("vocab_size", vocab_size)
-        self.dim = positive_int("dim", dim)
-        self.trainable = bool(trainable)
-        self._preset = None if weights is None else np.asarray(weights, dtype=np.float64)
+    def _shapes(self, input_shape):
+        return {"W": (self.vocab_size, self.dim)}, {}
 
-    def _init_params(self, input_shape, rng):
-        if self._preset is None:
-            return {"W": rng.uniform((self.vocab_size, self.dim), low=-0.05, high=0.05)}
-        if self._preset.shape != (self.vocab_size, self.dim):
+    def _init_params(self, rng):
+        W = self.params["W"]
+        if self.weights is not None and np.shape(self.weights) != W.shape:
             raise ValueError(
-                "embedding weights shape %s does not match (%d, %d)"
-                % (self._preset.shape, self.vocab_size, self.dim)
+                "embedding weights shape %s does not match %s" % (np.shape(self.weights), W.shape)
             )
-        return {"W": self._preset.copy()}
+        W[...] = (rng.uniform(W.shape, low=-0.05, high=0.05) if self.weights is None
+                  else self.weights)
 
     def out_shape(self, input_shape):
         return (input_shape[0], self.dim)
@@ -152,34 +153,23 @@ class Embedding(Layer):
             np.add.at(dW, ids.reshape(-1), upstream.reshape(-1, self.dim))
         return None  # ids have no gradient
 
-    def hyper(self):
-        return {
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "trainable": self.trainable,
-        }
-
 
 class SimpleRNN(_SequenceLayer):
     """Vanilla recurrence h_t = f(h_{t-1} @ W + x_t @ U + b)."""
 
     kind = "simple_rnn"
+    _args = (
+        _Arg("units", _count),
+        _Arg("activation", _activation, "tanh"),
+        _Arg("return_sequences", _flag, False),
+        _Arg("init", _initializer, "glorot", saved=False),
+    )
 
-    def __init__(self, units, activation="tanh", return_sequences=False, init="glorot"):
-        super().__init__()
-        self.units = positive_int("units", units)
-        self.activation = activations.get(activation)
-        self.return_sequences = bool(return_sequences)
-        self._init_spec = init
+    _drawn = ("W", "U")
 
-    def _init_params(self, input_shape, rng):
-        n_in = input_shape[1]
-        init = get_initializer(self._init_spec)
-        return {
-            "W": init((self.units, self.units), rng, self.units, self.units),
-            "U": init((n_in, self.units), rng, n_in, self.units),
-            "b": np.zeros(self.units),
-        }
+    def _shapes(self, input_shape):
+        u = self.units
+        return {"W": (u, u), "U": (input_shape[1], u), "b": (u,)}, {}
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -222,13 +212,6 @@ class SimpleRNN(_SequenceLayer):
             np.sum(d2, axis=0, out=self.grads["b"])
         return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
 
-    def hyper(self):
-        return {
-            "units": self.units,
-            "activation": self.activation.name,
-            "return_sequences": self.return_sequences,
-        }
-
 
 class LSTM(_SequenceLayer):
     """Long short-term memory layer.
@@ -270,26 +253,26 @@ class LSTM(_SequenceLayer):
     _n_states = 2
     GATES = ("f", "i", "a", "o")
     _FUSED = ("f", "i", "o", "a")
+    _drawn = tuple(k + g for g in GATES for k in "WU")
 
-    def __init__(self, units, return_sequences=False, init="glorot"):
-        super().__init__()
-        self.units = positive_int("units", units)
-        self.return_sequences = bool(return_sequences)
-        self._init_spec = init
+    _args = (
+        _Arg("units", _count),
+        _Arg("return_sequences", _flag, False),
+        _Arg("init", _initializer, "glorot", saved=False),
+    )
 
-    def _init_params(self, input_shape, rng):
-        n_in = input_shape[1]
-        u = self.units
-        init = get_initializer(self._init_spec)
+    def _shapes(self, input_shape):
+        u, n_in = self.units, input_shape[1]
+        return {k + g: s for g in self.GATES for k, s in zip("WUb", [(u, u), (n_in, u), (u,)])}, {}
+
+    def _init_params(self, rng):
+        u, n_in = self.units, self.input_shape[1]
         self._blocks = {
             "W": np.empty((u, 4 * u)), "U": np.empty((n_in, 4 * u)), "b": np.zeros(4 * u),
         }
         self._grad_blocks = {k: np.zeros_like(v) for k, v in self._blocks.items()}
         self._bind()
-        for g in self.GATES:
-            self.params["W" + g][...] = init((u, u), rng, u, u)
-            self.params["U" + g][...] = init((n_in, u), rng, n_in, u)
-        return self.params
+        super()._init_params(rng)
 
     def storage(self):
         return self._blocks, self._grad_blocks
@@ -384,9 +367,6 @@ class LSTM(_SequenceLayer):
             np.sum(d2, axis=0, out=db)
         return (d2 @ U.T).reshape(b, T, n_in) if input_grad else None
 
-    def hyper(self):
-        return {"units": self.units, "return_sequences": self.return_sequences}
-
 
 class TimeDistributedDense(Dense):
     """One dense layer applied independently at every timestep: its GEMM
@@ -395,14 +375,8 @@ class TimeDistributedDense(Dense):
     kind = "time_distributed_dense"
     _rank, _form = 2, "[time, features]"
 
-    def __init__(self, units, activation="linear", init="glorot"):
-        super().__init__(units, activation=activation, init=init)
-
     # the time length may vary between calls; the feature count is fixed
     _check_input = _SequenceLayer._check_input
-
-    def hyper(self):
-        return {"units": self.units, "activation": self.activation.name}
 
 
 def generate_greedy(model, seed_id, length, n_vocab, window=100):

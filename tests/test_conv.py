@@ -720,6 +720,9 @@ class TestPool2D:
             (((2, 0),), {}, "pool_size"),
             ((2,), {"stride": 0}, "stride"),
             ((2,), {"stride": (1, -2)}, "stride"),
+            ((0.0,), {}, "pool_size"),
+            (((3, -1.0),), {}, "pool_size"),
+            ((2,), {"stride": (0, 1)}, "stride"),
         ],
     )
     def test_sizes_below_one_rejected(self, args, kwargs, name):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import fd_grads
 from minidl import layers
-from minidl.conv import Conv2D
+from minidl.conv import Conv2D, Pool2D
 from minidl.recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from minidl.tensor import Rng
 
@@ -321,6 +322,11 @@ class TestInitializers:
         (lambda: TimeDistributedDense(0), "units", 0),
         (lambda: Embedding(0, 4), "vocab_size", 0),
         (lambda: Embedding(10, -2), "dim", -2),
+        (lambda: layers.Dense(0.0), "units", 0.0),
+        (lambda: Conv2D(4, (3, -1)), "kernel_size", -1),
+        (lambda: Conv2D(4, 3, dilation=0), "dilation", 0),
+        (lambda: Pool2D((2, 0.0)), "pool_size", 0.0),
+        (lambda: Pool2D(2, stride=-3), "stride", -3),
     ],
 )
 def test_layer_sizes_below_one_rejected(make, name, value):
@@ -328,7 +334,11 @@ def test_layer_sizes_below_one_rejected(make, name, value):
         make()
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, -math.inf, math.nan, 2.5, "4", True],
+    ids=["inf", "-inf", "nan", "fraction", "string", "bool"],
+)
 @pytest.mark.parametrize(
     "make, name",
     [
@@ -339,8 +349,44 @@ def test_layer_sizes_below_one_rejected(make, name, value):
         (lambda v: SimpleRNN(v), "units"),
         (lambda v: LSTM(v), "units"),
         (lambda v: TimeDistributedDense(v), "units"),
+        (lambda v: Conv2D(4, v), "kernel_size"),
+        (lambda v: Conv2D(4, (3, v)), "kernel_size"),
+        (lambda v: Conv2D(4, 3, stride=v), "stride"),
+        (lambda v: Conv2D(4, 3, dilation=v), "dilation"),
+        (lambda v: Pool2D(v), "pool_size"),
+        (lambda v: Pool2D(2, stride=(v, 2)), "stride"),
     ],
 )
 def test_layer_sizes_without_an_integer_value_rejected(make, name, value):
     with pytest.raises(ValueError, match="%s must be a whole number, got %r" % (name, value)):
         make(value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: layers.Dropout("0.5"), "rate must be in [0, 1), got '0.5'"),
+        (lambda: layers.BatchNorm(eps=-1), "eps must be finite and at least 0, got -1"),
+        (lambda: layers.BatchNorm(eps=math.nan), "eps must be finite and at least 0, got nan"),
+        (lambda: layers.BatchNorm(eps=math.inf), "eps must be finite and at least 0, got inf"),
+        (lambda: layers.BatchNorm(eps=10**400), "eps must be finite and at least 0, got 1000"),
+        (lambda: layers.BatchNorm(momentum=math.nan), "momentum must be in [0, 1], got nan"),
+        (lambda: layers.BatchNorm(momentum=1.5), "momentum must be in [0, 1], got 1.5"),
+        (lambda: layers.BatchNorm(momentum="0.9"), "momentum must be in [0, 1], got '0.9'"),
+        (lambda: LSTM(3, return_sequences="no"),
+         "return_sequences must be True or False, got 'no'"),
+        (lambda: SimpleRNN(3, return_sequences=1), "return_sequences must be True or False, got 1"),
+        (lambda: Embedding(5, 2, trainable="yes"), "trainable must be True or False, got 'yes'"),
+        (lambda: layers.Dense(3, init="bogus"), "init: unknown initializer 'bogus'"),
+        (lambda: Conv2D(2, 3, init=("normal", "wide")), "init: could not convert"),
+        (lambda: layers.Dense(3, activation=3), "activation must be an activation name, got 3"),
+        (lambda: SimpleRNN(3, activation="bogus"), "unknown activation 'bogus'"),
+        (lambda: layers.Dense(3, activation="leaky_relu", leaky_slope="0.2"),
+         "leaky_slope must be in (0, 1], got '0.2'"),
+        (lambda: Pool2D(2, mode="median"), "mode must be max or avg, got 'median'"),
+    ],
+)
+def test_layer_arguments_out_of_range_or_of_another_kind_rejected(make, message):
+    # refused at construction, before any build
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -652,6 +653,77 @@ def mutation_model(tmp_path_factory):
     return path, raw
 
 
+# the models the manifest mutator edits: (layers, input shape) by name
+MUTATED_MODELS = {
+    "mlp": (
+        lambda: [Dense(2, activation="leaky_relu", leaky_slope=0.3), BatchNorm(), Dropout(0.5),
+                 Dense(1)],
+        (3,),
+    ),
+    "conv": (
+        lambda: [Conv2D(2, 3, padding="same", activation="relu"), Pool2D(2), Flatten(), Dense(1)],
+        (4, 4, 1),
+    ),
+    "seq": (
+        lambda: [Embedding(6, 3), LSTM(2, return_sequences=True),
+                 SimpleRNN(2, return_sequences=True),
+                 TimeDistributedDense(2, activation="softmax")],
+        (5,),
+    ),
+}
+
+# hyperparameter values a mutation writes: wrong JSON types, zero,
+# negative, fractional, infinite, huge and nested
+MUTATED_VALUES = [
+    0, -1, 1, 2, 2.5, 1e300, 10**12, 10**400, float("inf"), float("-inf"), float("nan"),
+    "4", "relu", "same", "max", True, False, None, [2, 2], [0, 1], [2.5, 1], [[2]], {"units": 2},
+]
+
+
+def mutate_manifest(data, manifest):
+    """Apply one structural edit drawn from ``data`` to a saved manifest:
+    a layer kind changed, missing, added or dropped; a hyper key missing,
+    extra or renamed; a hyper value or an input_shape entry replaced; or
+    the input rank changed."""
+    layers = manifest["layers"]
+    i = data.draw(st.integers(0, len(layers) - 1), label="layer")
+    entry, hyper = layers[i], layers[i]["hyper"]
+    kinds = st.sampled_from(sorted(model_mod.LAYER_KINDS) + ["bogus"])
+    keys = sorted(hyper)
+    names = st.sampled_from(sorted({k for e in layers for k in e["hyper"]} | {"init", "bogus"}))
+    values = st.sampled_from(MUTATED_VALUES)
+    shape = manifest["input_shape"]
+    op = data.draw(st.sampled_from([
+        "kind", "no_kind", "extra_layer", "no_layer", "no_key", "extra_key", "renamed_key",
+        "value", "input_shape", "input_rank",
+    ]), label="op")
+    if op == "kind":
+        entry["kind"] = data.draw(kinds)
+    elif op == "no_kind":
+        del entry["kind"]
+    elif op == "extra_layer":
+        layers.insert(i, {"kind": data.draw(kinds), "hyper": {}})
+    elif op == "no_layer":
+        del layers[i]
+    elif op == "extra_key":
+        hyper[data.draw(names)] = data.draw(values)
+    elif op == "input_shape":
+        j = data.draw(st.integers(0, len(shape) - 1))
+        shape[j] = data.draw(st.sampled_from([0, -1, 1, 2, 3, 7, 10**12, 2.0, "3", None]))
+    elif op == "input_rank" and data.draw(st.booleans()):
+        shape.append(3)
+    elif op == "input_rank":
+        shape.pop()
+    elif keys:
+        key = data.draw(st.sampled_from(keys), label="key")
+        if op == "no_key":
+            del hyper[key]
+        elif op == "renamed_key":
+            hyper[data.draw(names)] = hyper.pop(key)
+        else:
+            hyper[key] = data.draw(values)
+
+
 class TestPersistence:
     def roundtrip(self, m, X, tmp_path, name="m.gbk"):
         path = str(tmp_path / name)
@@ -885,6 +957,57 @@ class TestPersistence:
         path = self.with_manifest(tmp_path, lambda m: m.update(loss="hinge"))
         with pytest.raises(ModelFileError, match="hinge"):
             load_model(path)
+
+    @pytest.mark.parametrize("units", [2 * 10**6, 10**12])
+    def test_huge_layer_in_valid_file_refused_before_anything_is_allocated(self, tmp_path, units):
+        # a Dense(1) on a 3-wide input whose manifest asks for ``units``
+        # units: building them first traced 244 MB for 2e6 units
+        def edit(manifest):
+            manifest["layers"][0]["hyper"]["units"] = units
+
+        path = self.with_manifest(tmp_path, edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFileError, match="architecture mismatch at block 0"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_leaky_time_distributed_dense_round_trips_its_slope(self, tmp_path):
+        m = SequentialModel([
+            SimpleRNN(4, return_sequences=True),
+            TimeDistributedDense(3, activation="leaky_relu", leaky_slope=0.3),
+        ])
+        m.compile((5, 2), "mse", "sgd")
+        assert m.manifest()["layers"][1]["hyper"] == {
+            "units": 3, "activation": "leaky_relu", "leaky_slope": 0.3,
+        }
+        loaded = self.roundtrip(m, Rng(4).normal((2, 5, 2)), tmp_path)
+        npt.assert_array_equal(loaded.layers[1].activation.fn(np.array([-1.0])), [-0.3])
+        assert loaded.manifest() == m.manifest()
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_manifest_mutation_is_refused_or_keeps_the_arrays(self, tmp_path_factory, data):
+        # a resealed file whose manifest one structural edit changed: the
+        # load either raises ModelFileError or gives the saved arrays
+        name = data.draw(st.sampled_from(sorted(MUTATED_MODELS)), label="model")
+        layers, shape = MUTATED_MODELS[name]
+        tmp = tmp_path_factory.getbasetemp() / "manifest-mutations"
+        tmp.mkdir(exist_ok=True)
+        path = self.with_manifest(tmp, lambda m: mutate_manifest(data, m), layers, shape)
+        try:
+            loaded = load_model(path)
+        except ModelFileError:
+            return
+        original = SequentialModel(layers())
+        original.compile(shape, "mse", "sgd")
+        got, want = list(loaded._blocks()), list(original._blocks())
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (k, a), (_, b) in zip(got, want):
+            npt.assert_array_equal(a, b, err_msg=k)
 
     @given(
         kind=st.sampled_from(["flip", "truncate", "insert"]),
