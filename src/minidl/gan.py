@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Dense, Dropout
+from .layers import Dense, Dropout, _count
 from .losses import BinaryCrossEntropy
-from .model import SequentialModel, _check_batch_size
+from .model import SequentialModel
 from .optim import Adam
 from .tensor import Rng
 
@@ -58,12 +58,11 @@ class GanTrainer:
             raise ValueError("discriminator must end with a sigmoid output")
         self.generator = generator
         self.discriminator = discriminator
-        self.latent_dim = int(latent_dim)
+        self.latent_dim = _count("latent_dim", latent_dim)
         self.d_optimizer = d_optimizer
         self.g_optimizer = g_optimizer
         self.smoothing = float(smoothing)
-        self.batch_size = int(batch_size)
-        _check_batch_size(self.batch_size)
+        self.batch_size = _count("batch_size", batch_size)
         self.rng = Rng(seed)
         self._loss = BinaryCrossEntropy()
 
@@ -142,6 +141,7 @@ def default_image_gan(latent_dim=10, seed=0, lr=0.0002, beta1=0.5, batch_size=12
     discriminator with 0.3 dropout after each hidden layer and a
     sigmoid head, its first layer initialized from a 0.02-std normal.
     Both optimizers are Adam(lr, beta1)."""
+    latent_dim = _count("latent_dim", latent_dim)
     gen = SequentialModel(
         [
             Dense(256, activation="leaky_relu"),

@@ -13,14 +13,14 @@ shapes of its parameters and state. The constructor, ``hyper()`` (so the
 model file) and ``load_model``'s check of a file's block table before it
 builds anything all read them. A refused argument raises ValueError naming
 it. ``Layer.build`` checks the per-sample input rank against ``_rank`` and
-``_form`` ("<kind> expects <form> input, got shape ..."), allocates zeros
-of the declared shapes, lets ``_init_params(rng)`` write initial values
-with all the layer's ``rng`` draws, and gives each trainable parameter a
-zero gradient array in ``self.grads``, keyed like ``self.params``. A parameter
-is changed by writing into it, never by rebinding its entry: an entry
-may be a view of a larger storage block (``Layer.storage``), and once a
-model is compiled both dicts hold views into the model's flat parameter
-and gradient vectors.
+``_form`` ("<kind> expects <form> input, got shape ..."), lays the declared
+parameters out as consecutive views of one zero vector and their gradients
+(``self.grads``, keyed like ``self.params``) as views of a second
+(``_carve``), and lets ``_init_params(rng)`` write initial values with all
+the layer's ``rng`` draws. In a compiled model those vectors are the
+layer's slices of the model's ``flat_params`` and ``flat_grads``, so its
+parameters are born there. A parameter is changed by writing into it,
+never by rebinding its entry, which would cut it off from the vector.
 
 The backward contract, shared by every layer in the library::
 
@@ -135,6 +135,11 @@ def _count(name, value, least=1, what="a whole number"):
     return int(value)
 
 
+def _size(shapes):
+    """The number of values in arrays of ``shapes`` (name to shape)."""
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
 def _pair(name, value):
     """A count (``_count``) or a pair of them, as a pair."""
     pair = tuple(value) if isinstance(value, (tuple, list)) else (value, value)
@@ -232,39 +237,42 @@ class Layer:
         for ``input_shape``: two dicts, name to shape; none by default."""
         return {}, {}
 
-    def build(self, input_shape, rng):
-        """Check the input rank, record the shape, allocate the parameters
-        and state ``_shapes`` declares, let ``_init_params`` draw into them,
-        create the gradients (module docstring), then ``_bind``."""
-        params, state = self._declared(input_shape)
+    def build(self, input_shape, rng, into=None):
+        """Check the input rank and record the shape, lay the parameters
+        ``_shapes`` declares out in ``into``, a compiled model's slices of
+        its two flat vectors, or else in a zero pair of the layer's own
+        (``_carve``), allocate the state, and let ``_init_params`` draw.
+        A frozen layer (not ``trainable``) has no gradients."""
+        shapes, state = self._declared(input_shape)
         self.input_shape = tuple(input_shape)
-        self.params = {k: np.zeros(shape) for k, shape in params.items()}
+        if into is None:
+            into = np.zeros(_size(shapes)), np.zeros(_size(shapes))
+        self.params, self.grads = self._carve(shapes, *into)
+        if not self.trainable:
+            self.grads = {}
         self.state = {k: np.zeros(shape) for k, shape in state.items()}
         self._init_params(rng)
-        self.grads = (
-            {k: np.zeros_like(p) for k, p in self.params.items()} if self.trainable else {}
-        )
-        self._bind()
+
+    def _carve(self, shapes, flat, flat_grads):
+        """Consecutive views of ``flat`` shaped as ``shapes`` (name to
+        shape), in order, and the same views of ``flat_grads``: the
+        ``params`` and ``grads`` dicts."""
+        params, grads, lo = {}, {}, 0
+        for k, shape in shapes.items():
+            hi = lo + math.prod(shape)
+            params[k] = flat[lo:hi].reshape(shape)
+            grads[k] = flat_grads[lo:hi].reshape(shape)
+            lo = hi
+        return params, grads
 
     def _init_params(self, rng):
-        """Write the initial values over the zeros ``build`` allocated, with
+        """Write the initial values over the zeros ``build`` laid out, with
         all of the layer's ``rng`` draws: by default each ``_drawn`` parameter
         in turn from ``self.init``, fans from its shape [..., fan_in, fan_out]."""
         for k in self._drawn:
             p = self.params[k]
             p[...] = self.init(p.shape, rng, math.prod(p.shape[:-1]),
                                math.prod(p.shape[:-2]) * p.shape[-1])
-
-    def storage(self):
-        """The arrays this layer's parameters and their gradients live
-        in, as two dicts keyed alike: by default ``params`` and ``grads``
-        themselves. ``SequentialModel._flatten`` replaces their entries
-        with views of the model's flat vectors, then calls ``_bind``."""
-        return self.params, self.grads
-
-    def _bind(self):
-        """Point ``params`` and ``grads`` at the arrays ``storage`` now
-        holds. Nothing to do when they are those arrays."""
 
     def out_shape(self, input_shape):
         return tuple(input_shape)
@@ -403,8 +411,9 @@ class BatchNorm(Layer):
     _rank, _form = 1, "flat per-sample"
     _args = (
         _Arg("momentum", _checker("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, float), 0.99),
-        _Arg("eps", _checker("finite and at least 0",
-                             lambda v: _real(v) and 0 <= v <= sys.float_info.max, float), 1e-3),
+        # a constant feature has variance 0, so eps alone keeps it finite
+        _Arg("eps", _checker("finite and above 0",
+                             lambda v: _real(v) and 0 < v <= sys.float_info.max, float), 1e-3),
     )
 
     def _shapes(self, shape):

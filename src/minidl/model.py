@@ -29,7 +29,7 @@ from . import losses as losses_mod
 from . import metrics as metrics_mod
 from . import optim as optim_mod
 from .conv import Conv2D, Pool2D
-from .layers import BatchNorm, Dense, Dropout, Flatten, Layer
+from .layers import BatchNorm, Dense, Dropout, Flatten, Layer, _count, _size
 from .recurrent import LSTM, Embedding, SimpleRNN, TimeDistributedDense
 from .tensor import Rng
 
@@ -118,13 +118,26 @@ class SequentialModel:
 
     def compile(self, input_shape, loss, optimizer, metrics=()):
         """Build every layer for the given per-sample input shape and
-        attach loss, optimizer, and metric functions."""
+        attach loss, optimizer, and metric functions. The trainable
+        parameters are born in one flat vector, ``flat_params``, and
+        their gradients in a second, ``flat_grads``: each trainable layer
+        lays its parameters out (``Layer.build``) in its slice of each, in
+        layer order, so every ``params`` and ``grads`` entry is a view of
+        the vector the optimizer steps."""
         if not self.layers:
             raise ValueError("model has no layers")
-        self.input_shape = tuple(int(d) for d in input_shape)
-        self.output_shape = self._through(
-            self.input_shape, lambda i, layer, shape: layer.build(shape, self.rng))
-        self._flatten()
+        self.input_shape = tuple(
+            _count("input_shape[%d]" % i, d) for i, d in enumerate(input_shape))
+        sizes = [_size(params) if layer.trainable else 0
+                 for layer, (params, _) in zip(self.layers, self._declared(self.input_shape))]
+        ends = np.cumsum([0] + sizes)
+        self.flat_params, self.flat_grads = np.zeros(ends[-1]), np.zeros(ends[-1])
+
+        def build(i, layer, shape):
+            into = self.flat_params[ends[i]:ends[i + 1]], self.flat_grads[ends[i]:ends[i + 1]]
+            layer.build(shape, self.rng, into if layer.trainable else None)
+
+        self.output_shape = self._through(self.input_shape, build)
         self.loss = losses_mod.get(loss)
         self.optimizer = optim_mod.get(optimizer) if isinstance(optimizer, str) else optimizer
         if self.loss.fused is not None:
@@ -162,30 +175,13 @@ class SequentialModel:
             shape = tuple(int(d) for d in out)
         return shape
 
-    def _flatten(self):
-        """Move the trainable parameters into one vector, ``flat_params``,
-        with their gradients in a second, ``flat_grads``. The storage
-        blocks of each trainable layer (``Layer.storage``, by default its
-        ``params`` and ``grads`` entries) become views of consecutive
-        slices, in layer order, and the layer rebinds its named arrays to
-        them. So every ``params`` and ``grads`` entry is a view into the
-        two vectors, possibly a column view of a block (the LSTM gates),
-        and writing into it reaches the vector the optimizer steps."""
-        layers = [layer for layer in self.layers if layer.trainable]
-        total = sum(p.size for layer in layers for p in layer.storage()[0].values())
-        self.flat_params = np.empty(total)
-        self.flat_grads = np.zeros(total)
-        lo = 0
-        for layer in layers:
-            params, grads = layer.storage()
-            for k, p in params.items():
-                hi = lo + p.size
-                view = self.flat_params[lo:hi].reshape(p.shape)
-                view[...] = p
-                params[k] = view
-                grads[k] = self.flat_grads[lo:hi].reshape(p.shape)
-                lo = hi
-            layer._bind()
+    def _declared(self, input_shape):
+        """The shapes each layer declares for ``input_shape``
+        (``Layer._declared``): a list of (parameter, state) dicts."""
+        declared = []
+        self._through(input_shape, lambda i, layer, shape: declared.append(
+            layer._declared(shape)))
+        return declared
 
     def _resolve_metric(self, name):
         if name in ("accuracy", "acc"):
@@ -312,7 +308,7 @@ class SequentialModel:
         are 1-based.
         """
         self._require_compiled()
-        _check_batch_size(batch_size)
+        batch_size = _count("batch_size", batch_size)
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         if X.shape[0] != Y.shape[0]:
@@ -370,7 +366,7 @@ class SequentialModel:
     def evaluate(self, X, Y, batch_size=32):
         """Loss and metrics in inference mode, averaged over rows."""
         self._require_compiled()
-        _check_batch_size(batch_size)
+        batch_size = _count("batch_size", batch_size)
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         if X.shape[0] == 0:
@@ -408,7 +404,7 @@ class SequentialModel:
 
     def predict(self, X, batch_size=256):
         self._require_compiled()
-        _check_batch_size(batch_size)
+        batch_size = _count("batch_size", batch_size)
         X = np.asarray(X, dtype=np.float64)
         if X.shape[0] == 0:
             return np.zeros((0,) + self.output_shape)
@@ -487,11 +483,6 @@ def _named_blocks(i, params, state):
         yield "layer%d/state/%s" % (i, k), state[k]
 
 
-def _check_batch_size(batch_size):
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1, got %r" % (batch_size,))
-
-
 def load_model(path, seed=0):
     """Rebuild a model from a saved file: layers from the manifest, then
     weights, once the file's block table is the one the manifest implies
@@ -511,10 +502,10 @@ def load_model(path, seed=0):
             ) from None
     model = SequentialModel(layers, seed=seed)
     got = [(name, a.shape) for name, a in blocks]
-    want = []  # the table save would write, from the shapes each layer declares
     try:
-        model._through(tuple(manifest["input_shape"]), lambda i, layer, shape: want.extend(
-            _named_blocks(i, *layer._declared(shape))))
+        # the table save would write, from the shapes each layer declares
+        want = [block for i, declared in enumerate(model._declared(tuple(manifest["input_shape"])))
+                for block in _named_blocks(i, *declared)]
         if got == want:  # build only what the file holds
             model.compile(manifest["input_shape"], manifest["loss"] or "mse",
                           manifest["optimizer"] or "sgd")

@@ -231,12 +231,13 @@ class LSTM(_SequenceLayer):
     The four gates are stored fused (Appleyard, Kocisky and Blunsom
     2016): three blocks W [units, 4*units], U [features, 4*units] and b
     [4*units] in the gate order f, i, o, a, which puts the three sigmoid
-    gates side by side, and gradient blocks of the same shapes. The 12
-    named parameters and gradients are column views of those blocks
-    (``storage``), so a write such as ``params["bf"][:] = 500`` acts on
-    the next call. Forward fills a [batch, time, 4*units] gate buffer
-    with ``x @ U``. Each step puts ``h @ W`` in one [batch, 4*units]
-    buffer, adds it to the step's slice into a contiguous gate-major
+    gates side by side, and gradient blocks of the same shapes, laid out
+    in the layer's vectors (``_carve``). The 12 named parameters and
+    gradients are column views of those blocks, so a write such as
+    ``params["bf"][:] = 500`` acts on the next call. Forward fills a
+    [batch, time, 4*units] gate buffer with ``x @ U``. Each step puts
+    ``h @ W`` in one [batch, 4*units] buffer, adds it to the step's
+    slice into a contiguous gate-major
     [4, batch, units] buffer, adds b, applies the gates there and writes
     the gate values back over the slice. The states c, tanh(c) and h are
     stored time-major, [time, batch, units], so a sequence output is a
@@ -265,25 +266,15 @@ class LSTM(_SequenceLayer):
         u, n_in = self.units, input_shape[1]
         return {k + g: s for g in self.GATES for k, s in zip("WUb", [(u, u), (n_in, u), (u,)])}, {}
 
-    def _init_params(self, rng):
+    def _carve(self, shapes, flat, flat_grads):
+        """The fused blocks, kept as ``_blocks`` and ``_grad_blocks``, and
+        the 12 gates' column views of them, keyed as ``shapes``."""
         u, n_in = self.units, self.input_shape[1]
-        self._blocks = {
-            "W": np.empty((u, 4 * u)), "U": np.empty((n_in, 4 * u)), "b": np.zeros(4 * u),
-        }
-        self._grad_blocks = {k: np.zeros_like(v) for k, v in self._blocks.items()}
-        self._bind()
-        super()._init_params(rng)
-
-    def storage(self):
-        return self._blocks, self._grad_blocks
-
-    def _bind(self):
-        u = self.units
+        self._blocks, self._grad_blocks = super()._carve(
+            {"W": (u, 4 * u), "U": (n_in, 4 * u), "b": (4 * u,)}, flat, flat_grads)
         cols = {g: slice(k * u, (k + 1) * u) for k, g in enumerate(self._FUSED)}
-        for g in self.GATES:
-            for key in "WUb":
-                self.params[key + g] = self._blocks[key][..., cols[g]]
-                self.grads[key + g] = self._grad_blocks[key][..., cols[g]]
+        return tuple({k: blocks[k[0]][..., cols[k[1]]] for k in shapes}
+                     for blocks in (self._blocks, self._grad_blocks))
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -51,11 +54,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sigmoid"):
             GanTrainer(gen, disc, 2, SGD(0.1), SGD(0.1))
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, math.nan])
     def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ValueError, match="batch_size must be at least 1, got %d" % batch_size):
+        what = "at least 1" if batch_size < 1 else "a whole number"
+        with pytest.raises(ValueError, match=re.escape(
+                "batch_size must be %s, got %r" % (what, batch_size))):
             GanTrainer(tiny_generator(), tiny_discriminator(), 2, SGD(0.1), SGD(0.1),
                        batch_size=batch_size)
+
+    @pytest.mark.parametrize("latent_dim, what", [(3.9, "a whole number"), (0, "at least 1")])
+    def test_latent_dim_not_a_count_rejected(self, latent_dim, what):
+        message = re.escape("latent_dim must be %s, got %r" % (what, latent_dim))
+        with pytest.raises(ValueError, match=message):
+            GanTrainer(tiny_generator(), tiny_discriminator(), latent_dim, SGD(0.1), SGD(0.1))
+        with pytest.raises(ValueError, match=message):
+            default_image_gan(latent_dim=latent_dim)
+
+    def test_stock_pair_refuses_a_fractional_batch_size(self):
+        with pytest.raises(ValueError, match=re.escape("batch_size must be a whole number, got 2.7")):
+            default_image_gan(batch_size=2.7)
 
 
 class TestDiscriminatorStep:

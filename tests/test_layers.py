@@ -198,7 +198,7 @@ class TestBatchNorm:
         npt.assert_allclose(layer.state["running_var"], [0.9 * 1.0 + 0.1 * 1.0])
 
     def test_inference_uses_running_stats(self):
-        layer = layers.BatchNorm(eps=0.0)
+        layer = layers.BatchNorm(eps=1e-300)
         layer.build((1,), Rng(0))
         layer.state["running_mean"][:] = [4.0]
         layer.state["running_var"][:] = [4.0]
@@ -251,7 +251,7 @@ class TestBatchNorm:
         npt.assert_allclose(layer.grads["beta"], want["beta"], atol=1e-6)
 
     def test_inference_backward_is_frozen_scale(self):
-        layer = layers.BatchNorm(eps=0.0)
+        layer = layers.BatchNorm(eps=1e-300)
         layer.build((2,), Rng(0))
         layer.state["running_var"][:] = [4.0, 0.25]
         layer.params["gamma"][:] = [3.0, 3.0]
@@ -366,10 +366,11 @@ def test_layer_sizes_without_an_integer_value_rejected(make, name, value):
     "make, message",
     [
         (lambda: layers.Dropout("0.5"), "rate must be in [0, 1), got '0.5'"),
-        (lambda: layers.BatchNorm(eps=-1), "eps must be finite and at least 0, got -1"),
-        (lambda: layers.BatchNorm(eps=math.nan), "eps must be finite and at least 0, got nan"),
-        (lambda: layers.BatchNorm(eps=math.inf), "eps must be finite and at least 0, got inf"),
-        (lambda: layers.BatchNorm(eps=10**400), "eps must be finite and at least 0, got 1000"),
+        (lambda: layers.BatchNorm(eps=0.0), "eps must be finite and above 0, got 0.0"),
+        (lambda: layers.BatchNorm(eps=-1), "eps must be finite and above 0, got -1"),
+        (lambda: layers.BatchNorm(eps=math.nan), "eps must be finite and above 0, got nan"),
+        (lambda: layers.BatchNorm(eps=math.inf), "eps must be finite and above 0, got inf"),
+        (lambda: layers.BatchNorm(eps=10**400), "eps must be finite and above 0, got 1000"),
         (lambda: layers.BatchNorm(momentum=math.nan), "momentum must be in [0, 1], got nan"),
         (lambda: layers.BatchNorm(momentum=1.5), "momentum must be in [0, 1], got 1.5"),
         (lambda: layers.BatchNorm(momentum="0.9"), "momentum must be in [0, 1], got '0.9'"),

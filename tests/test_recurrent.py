@@ -639,7 +639,7 @@ def test_fused_storage_matches_the_concatenating_lstm(
     if compiled:
         model = SequentialModel([layer], seed=seed)
         model.compile((max(T, 1), n_in), "mse", "sgd")
-        blocks, grad_blocks = layer.storage()
+        blocks, grad_blocks = layer._blocks, layer._grad_blocks
         # forward and backward read and write the model's vectors in place
         for block in blocks.values():
             assert np.shares_memory(block, model.flat_params)
